@@ -25,7 +25,7 @@ from .duality import (
     mod_functor,
     unit,
 )
-from .errors import LimitExceeded, ModformError, ParseError
+from .errors import InvariantError, LimitExceeded, ModformError, ParseError
 from .groupoid import build_model_groupoid
 from .models import IndexSet, model_class
 from .parser import parse_formula_in_context, parse_theory
@@ -467,6 +467,9 @@ def main(argv=None):
     except LimitExceeded as e:
         print(f"limit exceeded: {e}", file=sys.stderr)
         return EXIT_LIMIT
+    except InvariantError as e:
+        print(f"internal invariant violated (checker bug): {e}", file=sys.stderr)
+        return EXIT_FAIL
     except ModformError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAIL

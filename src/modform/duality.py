@@ -39,7 +39,7 @@ from .logic import (
     fic,
     initial_interpretation,
 )
-from .models import IndexedStructure, ModelClass, StructIso, model_class
+from .models import DEFAULT_LIMIT, IndexedStructure, ModelClass, StructIso, fibers, model_class
 from .search import FormulaSearch, functional_families
 from .sheaves import EquivariantSheaf, definable_sheaf
 from .topology import BasicOpenI, BasicOpenM, FinSpace, basic_open_arrows
@@ -78,9 +78,7 @@ class GroupoidOverS:
 def mod_functor(theory, S, limit=None):
     """The model groupoid of a theory with its forgetful map to the
     groupoid of sets."""
-    from .models import DEFAULT_LIMIT
-
-    limit = limit or DEFAULT_LIMIT
+    limit = DEFAULT_LIMIT if limit is None else limit
     morphism, report = mod_on_interpretation(initial_interpretation(theory), S, limit)
     bad = [r for r in report if not r["ok"]]
     if bad:
@@ -292,9 +290,7 @@ def syntactic_category(theory, S, k_max, depth, limit=None) -> TheoryCategory:
     Equivalence is semantic over the model class, which is provable
     equivalence relative to the semantic closure of the theory.
     """
-    from .models import DEFAULT_LIMIT
-
-    mc = model_class(theory, S, limit or DEFAULT_LIMIT)
+    mc = model_class(theory, S, DEFAULT_LIMIT if limit is None else limit)
     search = FormulaSearch(mc)
     tc = TheoryCategory(mc, k_max, depth)
     for k in range(k_max + 1):
@@ -320,9 +316,7 @@ def syntactic_category(theory, S, k_max, depth, limit=None) -> TheoryCategory:
 def semantic_quotient(theory, S, limit=None):
     """The semantic closure of a theory as an entailment oracle, with the
     identity-on-syntax interpretation into it."""
-    from .models import DEFAULT_LIMIT
-
-    mc = model_class(theory, S, limit or DEFAULT_LIMIT)
+    mc = model_class(theory, S, DEFAULT_LIMIT if limit is None else limit)
     eta = Interpretation(
         theory,
         theory,
@@ -573,9 +567,7 @@ def unit(gos: GroupoidOverS, k_max, limit=None):
     """The comparison morphism into the model groupoid of the relation
     category's theory: objects go to their fiber models, arrows keep their
     underlying bijections."""
-    from .models import DEFAULT_LIMIT
-
-    limit = limit or DEFAULT_LIMIT
+    limit = DEFAULT_LIMIT if limit is None else limit
     rc = form_functor(gos, k_max)
     theory, names = theory_view(rc)
     S = gos.s_mc.S
@@ -688,9 +680,7 @@ def check_triangle_identities(theory, S, k_max, limit=None):
     every relation-category object and arrow back along the unit returns it
     unchanged.
     """
-    from .models import DEFAULT_LIMIT
-
-    limit = limit or DEFAULT_LIMIT
+    limit = DEFAULT_LIMIT if limit is None else limit
     gos = mod_functor(theory, S, limit)
     un = unit(gos, k_max, limit)
     rc, form_theory, names, target = un["rc"], un["theory"], un["names"], un["target"]
@@ -984,30 +974,39 @@ def check_strong_fullness(gos: GroupoidOverS):
     return len(witnesses) == 0, witnesses
 
 
-def closed_hull(g: TopGroupoid, arrows):
-    """The smallest open, inverse- and composition-closed superset."""
-    cur = frozenset(arrows)
-    while True:
-        nxt = set(cur)
-        for f in cur:
-            nxt |= g.arrows.minimal_nbhd(f)
-            nxt.add(g.i[f])
-        for a in nxt.copy():
-            for b in nxt.copy():
-                if g.d[a] == g.c[b]:
-                    nxt.add(g.comp[(a, b)])
-        nxt = frozenset(nxt)
-        if nxt == cur:
-            return cur
-        cur = nxt
+def closed_hull(g: TopGroupoid, arrows, closed=frozenset()):
+    """The smallest open, inverse- and composition-closed superset of
+    `arrows` and `closed`; the caller promises `closed` is already closed.
+
+    A worklist adds each arrow once and composes it only with the members
+    in its two fibers (those ending where it starts, those starting where it
+    ends): a composable pair of the hull is formed when its later member is
+    added, and pairs inside `closed` never."""
+    hull = set(closed)
+    into = fibers(g.c, hull)  # members by codomain
+    out_of = fibers(g.d, hull)  # members by domain
+    work = list(arrows)
+    while work:
+        a = work.pop()
+        if a in hull:
+            continue
+        hull.add(a)
+        into.setdefault(g.c[a], []).append(a)
+        out_of.setdefault(g.d[a], []).append(a)
+        work.extend(g.arrows.minimal_nbhd(a))
+        work.append(g.i[a])
+        work.extend(g.comp[(a, b)] for b in into.get(g.d[a], ()))
+        work.extend(g.comp[(b, a)] for b in out_of.get(g.c[a], ()))
+    return frozenset(hull)
 
 
 def enumerate_stable_arrow_sets(g: TopGroupoid, limit=10_000):
     """All open arrow sets closed under inverses and composition.
 
     Every such set is reachable by repeatedly joining the closed hulls of
-    single arrows, so a breadth-first closure search enumerates exactly the
-    valid sets without scanning the full open lattice.
+    single arrows, so a depth-first closure search (a stack of found sets,
+    each extended by every generator hull) enumerates exactly the valid
+    sets without scanning the full open lattice.
     """
     gens = sorted(
         {closed_hull(g, {a}) for a in range(g.arrows.size)},
@@ -1020,7 +1019,7 @@ def enumerate_stable_arrow_sets(g: TopGroupoid, limit=10_000):
         for gen in gens:
             if gen <= cur:
                 continue
-            nxt = closed_hull(g, cur | gen)
+            nxt = closed_hull(g, gen, cur)
             if nxt not in seen:
                 if len(seen) >= limit:
                     raise LimitExceeded("too many closed arrow sets", len(seen))
@@ -1138,6 +1137,7 @@ def enumerate_interpretations(theory, form_theory, rc: RelationCategory, names, 
     atomic stable-open images, validated semantically."""
     from .models import check_interpretation
 
+    limit = DEFAULT_LIMIT if limit is None else limit
     rel_options = []
     for n, a in theory.signature.rels:
         if a not in rc.levels:
@@ -1172,7 +1172,7 @@ def enumerate_interpretations(theory, form_theory, rc: RelationCategory, names, 
                 for n, a, i in fun_pick
             )
             interp = Interpretation(theory, form_theory, rels, funs)
-            if not check_interpretation(interp, S, limit or 200_000):
+            if not check_interpretation(interp, S, limit):
                 out.append(interp)
     return out
 
@@ -1182,9 +1182,7 @@ def check_hom_bijection(gos: GroupoidOverS, theory, k_max, limit=None):
     sets correspond bijectively to interpretations of the theory into the
     groupoid's relation-category theory, via the unit and counit
     transpositions; verified by full enumeration of both sides."""
-    from .models import DEFAULT_LIMIT
-
-    limit = limit or DEFAULT_LIMIT
+    limit = DEFAULT_LIMIT if limit is None else limit
     S = gos.s_mc.S
     target = mod_functor(theory, S, limit)
     un = unit(gos, k_max, limit)

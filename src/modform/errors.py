@@ -46,3 +46,8 @@ class InterpretationError(ModformError):
 
 class SiteError(ModformError):
     """Invalid Moerdijk site data (arrow set not open or not closed)."""
+
+
+class InvariantError(ModformError):
+    """A theorem the checker relies on failed on computed data: a checker
+    bug, not bad input."""

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SignatureError
+from .errors import InvariantError, SignatureError
 from .logic import EQUALITY_THEORY, conj, fic, substitute, Var
-from .models import ModelClass, model_class, reduct, star_headroom
+from .models import ModelClass, fibers, model_class, reduct, star_headroom
 from .topology import (
     BasicOpenI,
     BasicOpenM,
@@ -38,13 +38,17 @@ class TopGroupoid:
         self.e = tuple(e)
         self.i = tuple(i)
         self.comp = dict(comp)
+        # x -> arrows with codomain x, ascending; built from c alone so that
+        # check_algebra can hold the table against it
+        self.into = fibers(self.c, range(len(self.c)))
 
     def composable(self):
-        """Pairs (g, f) with d(g) = c(f); composition is g after f."""
+        """Pairs (g, f) with d(g) = c(f), ordered by g and then f;
+        composition is g after f.  Walks the codomain fiber over d(g), so
+        the cost is the number of composable pairs."""
         for g in range(self.arrows.size):
-            for f in range(self.arrows.size):
-                if self.d[g] == self.c[f]:
-                    yield g, f
+            for f in self.into.get(self.d[g], ()):
+                yield g, f
 
     def m(self, g, f):
         return self.comp[(g, f)]
@@ -52,7 +56,11 @@ class TopGroupoid:
     # -- algebraic axioms ---------------------------------------------------
 
     def check_algebra(self):
-        """All groupoid identities, exactly; returns a list of violations."""
+        """All groupoid identities, exactly; returns a list of violations.
+
+        Every law is checked on every composable pair and triple, walking
+        codomain fibers, so the cost is the number of composable triples
+        rather than the cube of the arrow count."""
         bad = []
         n_obj, n_arr = self.objects.size, self.arrows.size
         if len(self.d) != n_arr or len(self.c) != n_arr or len(self.e) != n_obj:
@@ -71,10 +79,14 @@ class TopGroupoid:
         if comp_domain != want:
             bad.append("composition table domain is not the composable pairs")
             return bad
-        for g, f in want:
-            gf = self.comp[(g, f)]
-            if self.d[gf] != self.d[f] or self.c[gf] != self.c[g]:
-                bad.append(f"m({g},{f}) has wrong endpoints")
+        ill_typed = [
+            (g, f)
+            for g, f in self.composable()
+            if self.d[self.comp[(g, f)]] != self.d[f] or self.c[self.comp[(g, f)]] != self.c[g]
+        ]
+        bad += [f"m({g},{f}) has wrong endpoints" for g, f in ill_typed]
+        if ill_typed:
+            return bad  # the laws below look up composites in the table
         for f in range(n_arr):
             if self.comp[(self.e[self.c[f]], f)] != f or self.comp[(f, self.e[self.d[f]])] != f:
                 bad.append(f"unit law fails at {f}")
@@ -82,35 +94,37 @@ class TopGroupoid:
                 bad.append(f"inverse law fails at {f}")
             if self.comp[(f, self.i[f])] != self.e[self.c[f]]:
                 bad.append(f"inverse law (other side) fails at {f}")
-        for h in range(n_arr):
-            for g in range(n_arr):
-                if self.d[h] != self.c[g]:
-                    continue
-                hg = self.comp[(h, g)]
-                for f in range(n_arr):
-                    if self.d[g] != self.c[f]:
-                        continue
-                    if self.comp[(hg, f)] != self.comp[(h, self.comp[(g, f)])]:
-                        bad.append(f"associativity fails at ({h},{g},{f})")
+        for h, g in self.composable():
+            hg = self.comp[(h, g)]
+            for f in self.into.get(self.d[g], ()):
+                if self.comp[(hg, f)] != self.comp[(h, self.comp[(g, f)])]:
+                    bad.append(f"associativity fails at ({h},{g},{f})")
         return bad
 
     # -- continuity ---------------------------------------------------------
 
     def check_continuity(self):
         """Continuity of d, c, e, i and of composition on the fibered
-        product with its subspace-of-product topology."""
+        product with its subspace-of-product topology.
+
+        The minimal neighborhood of a composable pair (g, f) is the set of
+        composable pairs in nbhd(g) x nbhd(f); grouping nbhd(f) by codomain
+        visits only those pairs."""
         out = {}
         out["d"] = self.arrows.continuous(self.d, self.objects)
         out["c"] = self.arrows.continuous(self.c, self.objects)
         out["e"] = self.objects.continuous(self.e, self.arrows)
         out["i"] = self.arrows.continuous(self.i, self.arrows)
         ok = True
-        for g, f in self.composable():
-            target = self.arrows.minimal_nbhd(self.comp[(g, f)])
-            for g2 in self.arrows.minimal_nbhd(g):
-                for f2 in self.arrows.minimal_nbhd(f):
-                    if self.d[g2] == self.c[f2] and self.comp[(g2, f2)] not in target:
-                        ok = False
+        out_of = fibers(self.d, range(self.arrows.size))
+        for f in range(self.arrows.size):
+            near_f = fibers(self.c, self.arrows.minimal_nbhd(f))
+            for g in out_of.get(self.c[f], ()):
+                target = self.arrows.minimal_nbhd(self.comp[(g, f)])
+                for g2 in self.arrows.minimal_nbhd(g):
+                    for f2 in near_f.get(self.d[g2], ()):
+                        if self.comp[(g2, f2)] not in target:
+                            ok = False
         out["m"] = ok
         return out
 
@@ -388,7 +402,8 @@ def open_image_d(mc: ModelClass, v: BasicOpenI):
     union = frozenset()
     for bop, _ in certificate:
         union |= basic_open_points(mc, bop)
-    assert d_image <= union, "domain image must be covered by its certificate"
+    if not d_image <= union:
+        raise InvariantError("domain image is not covered by its certificate")
 
     gates = []
     failures = []
@@ -434,7 +449,7 @@ def mod_on_interpretation(interp, S, limit=None):
     """
     from .models import DEFAULT_LIMIT, StructIso
 
-    limit = limit or DEFAULT_LIMIT
+    limit = DEFAULT_LIMIT if limit is None else limit
     mc_src = model_class(interp.target, S, limit)  # models of T'
     mc_dst = model_class(interp.source, S, limit)  # models of T
     g_src = build_model_groupoid(mc_src)

@@ -369,6 +369,17 @@ def enumerate_isomorphisms(M, N):
     return out
 
 
+def fibers(ends, arrows):
+    """Arrows grouped by an endpoint map: x -> the arrows f with ends[f] == x,
+    in the order of `arrows`.  With the codomain map, the fiber over d(g)
+    holds exactly the f composable with g, so a composition pass costs the
+    number of composable pairs instead of the square of the arrow count."""
+    out = {}
+    for f in arrows:
+        out.setdefault(ends[f], []).append(f)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the model class
 
@@ -390,11 +401,11 @@ class ModelClass:
             if self.iso_dom[j] == self.iso_cod[j] and all(k == v for k, v in f.mapping.items()):
                 self.identity_of[self.iso_dom[j]] = j
         self.inverse_of = [self.iso_index[f.inverse()._key] for f in self.isos]
+        into = fibers(self.iso_cod, range(len(self.isos)))
         self.comp = {}
         for gj, g in enumerate(self.isos):
-            for fj, f in enumerate(self.isos):
-                if self.iso_dom[gj] == self.iso_cod[fj]:
-                    self.comp[(gj, fj)] = self.iso_index[g.compose(f)._key]
+            for fj in into.get(self.iso_dom[gj], ()):
+                self.comp[(gj, fj)] = self.iso_index[g.compose(self.isos[fj])._key]
         self._ext_cache = {}
 
     def __repr__(self):

@@ -12,10 +12,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import SignatureError, SiteError
+from .errors import InvariantError, SignatureError, SiteError
 from .groupoid import TopGroupoid, build_model_groupoid
 from .logic import Eq, Exists, Var, conj, fic, substitute
-from .models import ModelClass, star_headroom
+from .models import ModelClass, fibers, star_headroom
 from .topology import (
     BasicOpenI,
     BasicOpenM,
@@ -384,9 +384,10 @@ def arrow_set_closed(g: TopGroupoid, N):
     for f in N:
         if g.i[f] not in N:
             return False
+    into = fibers(g.c, N)
     for a in N:
-        for b in N:
-            if g.d[a] == g.c[b] and g.comp[(a, b)] not in N:
+        for b in into.get(g.d[a], ()):
+            if g.comp[(a, b)] not in N:
                 return False
     return True
 
@@ -404,9 +405,10 @@ def moerdijk_classes(g: TopGroupoid, N):
             x = parent[x]
         return x
 
+    into = fibers(g.c, dom_arrows)
     for f in dom_arrows:
-        for h in dom_arrows:
-            if g.c[f] == g.c[h] and g.comp[(g.i[h], f)] in N:
+        for h in into[g.c[f]]:
+            if g.comp[(g.i[h], f)] in N:
                 rf, rh = find(f), find(h)
                 if rf != rh:
                     parent[max(rf, rh)] = min(rf, rh)
@@ -434,7 +436,8 @@ def moerdijk_sheaf(mc: ModelClass, N) -> MoerdijkSiteObject:
     if frozenset(g.c[f] for f in N) != U:
         raise SiteError("d(N) and c(N) disagree")
     U2, classes, class_of = moerdijk_classes(g, N)
-    assert U2 == U
+    if U2 != U:
+        raise InvariantError("the quotient is not over d(N)")
     # the N-relation must be an equivalence here; verify symmetry/transitivity
     for ci, cl in enumerate(classes):
         for f in cl:

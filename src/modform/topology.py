@@ -138,9 +138,6 @@ class BasicOpenM:
         return f"<{self.formula}, {inner}>"
 
 
-TRIVIAL_M = None  # set below once fic is importable
-
-
 def trivial_open_m():
     return BasicOpenM(fic((), TOP), ())
 

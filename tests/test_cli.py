@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from modform import cli
 from modform.cli import (
+    EXIT_FAIL,
     EXIT_GATED,
     EXIT_IO,
     EXIT_LIMIT,
@@ -13,6 +15,7 @@ from modform.cli import (
     main,
     run,
 )
+from modform.errors import InvariantError
 
 SYM_E = "rel E/2\naxiom E(x,y) |- [x,y] E(y,x)\n"
 
@@ -95,6 +98,28 @@ def test_cli_main_exit_codes(tmp_path, capsys):
     big.write_text("rel R/3\n")
     assert main(["models", "--index-size", "3", "--limit", "10", str(big)]) == EXIT_LIMIT
     capsys.readouterr()
+
+
+def test_limit_zero_is_a_zero_budget_everywhere(tmp_path, capsys):
+    thy = tmp_path / "limit0.thy"
+    thy.write_text("")
+    for command in ("models", "dualize"):
+        argv = [command, "--index-size", "1", "--limit", "0", str(thy)]
+        assert main(argv) == EXIT_LIMIT
+        assert "limit exceeded" in capsys.readouterr().err
+
+
+def test_invariant_error_is_reported_as_checker_bug(tmp_path, capsys, monkeypatch):
+    thy = tmp_path / "empty.thy"
+    thy.write_text("")
+
+    def broken(theory, cfg):
+        raise InvariantError("certificate misses a point")
+
+    monkeypatch.setattr(cli, "_command_models", broken)
+    assert main(["models", str(thy)]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err == "internal invariant violated (checker bug): certificate misses a point\n"
 
 
 def test_cli_json_determinism(tmp_path, capsys):

@@ -1,0 +1,125 @@
+"""Fiber-indexed composition against the all-pairs scans it replaced.
+
+The all-pairs versions below are the reference implementations: every
+composable-pair computation that now walks codomain fibers must give the
+same result, in the same order, on real model groupoids.  Random arrow
+subsets come from seeded stdlib ``random``."""
+
+import random
+
+import pytest
+
+from modform.duality import closed_hull, enumerate_stable_arrow_sets
+from modform.groupoid import TopGroupoid, build_model_groupoid
+from modform.logic import EQUALITY_THEORY
+from modform.models import IndexSet, model_class
+from modform.parser import parse_theory
+
+THEORIES = {
+    "T_eq": EQUALITY_THEORY,
+    "P/1": parse_theory("rel P/1\n"),
+    "symE": parse_theory("rel E/2\naxiom E(x,y) |- [x,y] E(y,x)\n"),
+}
+CASES = [("T_eq", 2), ("P/1", 2), ("symE", 2), ("T_eq", 3)]
+
+
+def _class(name, n):
+    return model_class(THEORIES[name], IndexSet(n))
+
+
+def reference_closed_hull(g, arrows):
+    """The round-based fixpoint: every pair of the set, every round."""
+    cur = frozenset(arrows)
+    while True:
+        nxt = set(cur)
+        for f in cur:
+            nxt |= g.arrows.minimal_nbhd(f)
+            nxt.add(g.i[f])
+        for a in nxt.copy():
+            for b in nxt.copy():
+                if g.d[a] == g.c[b]:
+                    nxt.add(g.comp[(a, b)])
+        nxt = frozenset(nxt)
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def reference_comp(mc):
+    comp = {}
+    for gj, g in enumerate(mc.isos):
+        for fj, f in enumerate(mc.isos):
+            if mc.iso_dom[gj] == mc.iso_cod[fj]:
+                comp[(gj, fj)] = mc.iso_index[g.compose(f)._key]
+    return comp
+
+
+def reference_m_continuous(g):
+    """Continuity of composition, testing every pair of nbhd(g) x nbhd(f)."""
+    for a, b in g.composable():
+        target = g.arrows.minimal_nbhd(g.comp[(a, b)])
+        for a2 in g.arrows.minimal_nbhd(a):
+            for b2 in g.arrows.minimal_nbhd(b):
+                if g.d[a2] == g.c[b2] and g.comp[(a2, b2)] not in target:
+                    return False
+    return True
+
+
+def _random_subset(rng, size, at_most=4):
+    return rng.sample(range(size), rng.randint(1, min(at_most, size)))
+
+
+@pytest.mark.parametrize("name,n", CASES)
+def test_comp_table_matches_all_pairs_scan(name, n):
+    mc = _class(name, n)
+    assert list(mc.comp.items()) == list(reference_comp(mc).items())
+
+
+@pytest.mark.parametrize("name,n", CASES)
+def test_composable_matches_all_pairs_scan(name, n):
+    g = build_model_groupoid(_class(name, n))
+    size = g.arrows.size
+    want = [(a, b) for a in range(size) for b in range(size) if g.d[a] == g.c[b]]
+    assert list(g.composable()) == want
+
+
+@pytest.mark.parametrize("name,n", CASES)
+def test_composition_continuity_matches_all_pairs_scan(name, n):
+    g = build_model_groupoid(_class(name, n))
+    assert g.check_continuity()["m"] is reference_m_continuous(g) is True
+    # tables with one composite moved to a parallel arrow; on T_eq n=3 and
+    # P/1 n=2 several of them break continuity
+    rng = random.Random(5)
+    pairs = list(g.composable())
+    for _ in range(20):
+        a, b = rng.choice(pairs)
+        parallel = [x for x in range(g.arrows.size) if (g.d[x], g.c[x]) == (g.d[b], g.c[a])]
+        table = dict(g.comp)
+        table[(a, b)] = rng.choice(parallel)
+        h = TopGroupoid(g.objects, g.arrows, g.d, g.c, g.e, g.i, table)
+        assert h.check_continuity()["m"] is reference_m_continuous(h)
+
+
+@pytest.mark.parametrize("name,n", CASES)
+def test_closed_hull_matches_fixpoint(name, n):
+    g = build_model_groupoid(_class(name, n))
+    rng = random.Random(7)
+    for _ in range(20):
+        arrows = _random_subset(rng, g.arrows.size)
+        assert closed_hull(g, arrows) == reference_closed_hull(g, arrows)
+
+
+@pytest.mark.parametrize("name,n", CASES)
+def test_closed_hull_over_closed_base(name, n):
+    g = build_model_groupoid(_class(name, n))
+    rng = random.Random(11)
+    for _ in range(20):
+        cur = reference_closed_hull(g, _random_subset(rng, g.arrows.size, 2))
+        gen = _random_subset(rng, g.arrows.size, 2)
+        assert closed_hull(g, gen, cur) == closed_hull(g, cur | frozenset(gen))
+
+
+@pytest.mark.parametrize("name,n,count", [("T_eq", 3, 619), ("P/1", 2, 71)])
+def test_stable_arrow_set_counts(name, n, count):
+    g = build_model_groupoid(_class(name, n))
+    assert len(enumerate_stable_arrow_sets(g)) == count

@@ -3,7 +3,10 @@ identities, openness certificates, restriction morphisms."""
 
 import pytest
 
+from modform import groupoid
+from modform.errors import InvariantError
 from modform.groupoid import (
+    TopGroupoid,
     build_model_groupoid,
     build_S_groupoid,
     identity_morphism,
@@ -67,6 +70,67 @@ def test_algebra_and_continuity_small_sizes(text, n):
     g = build_model_groupoid(mc)
     assert g.check_algebra() == []
     assert all(g.check_continuity().values())
+
+
+def _with_table(g, table):
+    """A copy of a groupoid with another composition table."""
+    return TopGroupoid(g.objects, g.arrows, g.d, g.c, g.e, g.i, table)
+
+
+def test_algebra_reports_a_missing_composable_pair():
+    g = build_model_groupoid(model_class(EQUALITY_THEORY, IndexSet(2)))
+    table = dict(g.comp)
+    del table[next(g.composable())]
+    assert _with_table(g, table).check_algebra() == [
+        "composition table domain is not the composable pairs"
+    ]
+
+
+def test_algebra_reports_a_non_composable_pair():
+    g = build_model_groupoid(model_class(EQUALITY_THEORY, IndexSet(2)))
+    n = g.arrows.size
+    a, b = next((a, b) for a in range(n) for b in range(n) if g.d[a] != g.c[b])
+    table = dict(g.comp)
+    table[(a, b)] = a
+    assert _with_table(g, table).check_algebra() == [
+        "composition table domain is not the composable pairs"
+    ]
+
+
+def test_algebra_reports_a_composite_with_wrong_endpoints():
+    g = build_model_groupoid(model_class(EQUALITY_THEORY, IndexSet(2)))
+    a, b = next(g.composable())
+    ab = g.comp[(a, b)]
+    x = next(x for x in range(g.arrows.size) if (g.d[x], g.c[x]) != (g.d[ab], g.c[ab]))
+    table = dict(g.comp)
+    table[(a, b)] = x
+    assert _with_table(g, table).check_algebra() == [f"m({a},{b}) has wrong endpoints"]
+
+
+def test_algebra_reports_broken_associativity():
+    gr = build_model_groupoid(model_class(EQUALITY_THEORY, IndexSet(3)))
+    identities, n = set(gr.e), gr.arrows.size
+    # a composite with a parallel twin, from arrows that the unit and
+    # inverse laws never compose with each other
+    a, b, x = next(
+        (a, b, x)
+        for a, b in gr.composable()
+        if a not in identities and b not in identities and a != gr.i[b]
+        for x in range(n)
+        if x != gr.comp[(a, b)] and (gr.d[x], gr.c[x]) == (gr.d[b], gr.c[a])
+    )
+    table = dict(gr.comp)
+    table[(a, b)] = x
+    # every failing triple, found by scanning all triples of arrows
+    want = [
+        f"associativity fails at ({h},{g},{f})"
+        for h in range(n)
+        for g in range(n)
+        for f in range(n)
+        if gr.d[h] == gr.c[g] and gr.d[g] == gr.c[f]
+        and table[(table[(h, g)], f)] != table[(h, table[(g, f)])]
+    ]
+    assert want and _with_table(gr, table).check_algebra() == want
 
 
 def test_s_groupoid_is_equality_groupoid():
@@ -162,6 +226,16 @@ def test_certificate_union_equals_image():
     for bop in res["certificate"]:
         union |= basic_open_points(mc, bop)
     assert union == res["image"]
+
+
+def test_uncovered_image_is_an_invariant_error(monkeypatch):
+    mc = model_class(EQUALITY_THEORY, IndexSet(2))
+    v = BasicOpenI(
+        BasicOpenM(fic(["x"], TOP), (0,)), ((0, 1),), BasicOpenM(fic(["x"], TOP), (1,))
+    )
+    monkeypatch.setattr(groupoid, "basic_open_points", lambda mc, bop: frozenset())
+    with pytest.raises(InvariantError):
+        open_image_d(mc, v)
 
 
 def test_mod_on_identity_interpretation():
