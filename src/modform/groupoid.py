@@ -12,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError, SignatureError
-from .logic import EQUALITY_THEORY, conj, fic, substitute, Var
-from .models import ModelClass, fibers, model_class, reduct, star_headroom
+from .logic import EQUALITY_THEORY, Eq, conj, fic, substitute, Var
+from .models import DEFAULT_LIMIT, ModelClass, StructIso, fibers, model_class, reduct, star_headroom
 from .topology import (
     BasicOpenI,
     BasicOpenM,
     FinSpace,
     arrow_space,
-    atomic_opens,
+    atomic_subbasis,
     basic_open_arrows,
     basic_open_points,
     model_space,
@@ -204,9 +204,8 @@ def identity_morphism(g: TopGroupoid):
 
 def build_model_groupoid(mc: ModelClass) -> TopGroupoid:
     """The topological groupoid of models and isomorphisms of a class."""
-    cached = getattr(mc, "_groupoid", None)
-    if cached is not None:
-        return cached
+    if mc._groupoid is not None:
+        return mc._groupoid
     objects = model_space(mc)
     arrows = arrow_space(mc, objects)
     g = TopGroupoid(
@@ -243,8 +242,6 @@ def structure_map_preimages(mc: ModelClass, a, b):
     i_pre = frozenset(j for j in range(g.arrows.size) if g.i[j] in target)
     i_expect = pres(b, a)
     e_pre = frozenset(x for x in range(g.objects.size) if g.e[x] in target)
-    from .logic import Eq
-
     e_expect = basic_open_points(
         mc, BasicOpenM(fic(["x", "y"], Eq(Var("x"), Var("y"))), (a, b))
     )
@@ -297,8 +294,6 @@ def _merge_duplicate_entries(formula_in_context, params):
 def _normalize_v_array(v: BasicOpenI):
     """Rewrite to distinct codomain parameters and duplicate-free
     preservation sources and targets, preserving the arrow set."""
-    from .logic import Eq
-
     dom_f, dom_p = v.dom.formula, list(v.dom.params)
     cod_f, cod_p = v.cod.formula, list(v.cod.params)
     pairs = list(v.pairs)
@@ -447,8 +442,6 @@ def mod_on_interpretation(interp, S, limit=None):
     arrow map keeps the underlying block bijection.  Returns the morphism
     together with the basic-open preimage report.
     """
-    from .models import DEFAULT_LIMIT, StructIso
-
     limit = DEFAULT_LIMIT if limit is None else limit
     mc_src = model_class(interp.target, S, limit)  # models of T'
     mc_dst = model_class(interp.source, S, limit)  # models of T
@@ -467,7 +460,7 @@ def mod_on_interpretation(interp, S, limit=None):
         f1.append(mc_dst.find_iso(image))
     morphism = GroupoidMorphism(g_src, g_dst, tuple(f0), tuple(f1))
     report = []
-    for name, pts, bop in atomic_opens(mc_dst):
+    for name, pts, bop in atomic_subbasis(mc_dst):
         translated = BasicOpenM(
             fic(bop.formula.context, interp.translate(bop.formula.formula)), bop.params
         )

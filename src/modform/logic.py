@@ -219,6 +219,12 @@ class FormulaInContext:
         phi = _rename(self.formula, env, counter)
         object.__setattr__(self, "context", tuple(f"x{i}" for i in range(k)))
         object.__setattr__(self, "formula", phi)
+        # hashed once: formulas key the per-class memo tables, and the
+        # generated hash would walk the whole formula tree on every lookup
+        object.__setattr__(self, "_hash", hash((self.context, phi)))
+
+    def __hash__(self):
+        return self._hash
 
     def __len__(self):
         return len(self.context)

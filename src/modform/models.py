@@ -385,11 +385,37 @@ def fibers(ends, arrows):
 
 
 class ModelClass:
-    """All S-indexed models of a theory with all isomorphisms between them."""
+    """All S-indexed models of a theory with all isomorphisms between them.
 
-    def __init__(self, theory, S, models, isos):
+    The class owns every memo table of its logical topology.  Each lives as
+    long as the class (and so, through model_class, as long as the process)
+    and is filled on first use:
+
+    - ``_ext_cache``: (model index, formula-in-context) -> extension, the
+      frozenset of satisfying block-key tuples (``ext``).
+    - ``_tuples``: tuple -> the one shared copy of it, so equal tuples in
+      different extensions are one object (``ext``).
+    - ``_preserving``: index pair (a, b) -> the arrows of the preservation
+      set <a->b> (``preserving``).
+    - ``_points``: formula -> parameter tuple -> the model indices of the
+      basic open <formula, params> (``topology.basic_open_points``).  Two
+      levels, so each formula tree is held once however many tuples it
+      meets.
+    - ``_atomic``: the atomic subbasis tuple, or None until built
+      (``topology.atomic_subbasis``).
+    - ``_sheaves``: formula -> its definable sheaf
+      (``sheaves.definable_sheaf``); sheaves are never mutated once built.
+    - ``_groupoid``: the topological groupoid, or None until built
+      (``groupoid.build_model_groupoid``).
+
+    search_nodes is the number of nodes the model search visited; model_class
+    holds a cached class to a later call's limit with it.
+    """
+
+    def __init__(self, theory, S, models, isos, search_nodes=0):
         self.theory = theory
         self.S = S
+        self.search_nodes = search_nodes
         self.models = list(models)
         self.isos = list(isos)
         self.model_index = {M._key: i for i, M in enumerate(self.models)}
@@ -407,6 +433,12 @@ class ModelClass:
             for fj in into.get(self.iso_dom[gj], ()):
                 self.comp[(gj, fj)] = self.iso_index[g.compose(self.isos[fj])._key]
         self._ext_cache = {}
+        self._tuples = {}
+        self._preserving = {}
+        self._points = {}
+        self._atomic = None
+        self._sheaves = {}
+        self._groupoid = None
 
     def __repr__(self):
         return (
@@ -424,8 +456,22 @@ class ModelClass:
         key = (model_idx, f)
         hit = self._ext_cache.get(key)
         if hit is None:
-            hit = frozenset(eval_formula(self.models[model_idx], f))
+            shared = self._tuples
+            hit = frozenset(shared.setdefault(t, t) for t in eval_formula(self.models[model_idx], f))
             self._ext_cache[key] = hit
+        return hit
+
+    def preserving(self, a, b):
+        """The preservation set <a->b>: arrows whose domain has a, whose
+        codomain has b, and which send the block of a to the block of b."""
+        hit = self._preserving.get((a, b))
+        if hit is None:
+            hit = frozenset(
+                j
+                for j, f in enumerate(self.isos)
+                if f.dom.has(a) and f.cod.has(b) and f.apply(f.dom.block_key(a)) == f.cod.block_key(b)
+            )
+            self._preserving[(a, b)] = hit
         return hit
 
     def entails(self, seq: Sequent):
@@ -510,15 +556,15 @@ def _formula_symbols(phi):
     return syms
 
 
-def _search_models(theory, S, limit=None):
+def _search_models(theory, S, limit, visited):
     """Depth-first interpretation search, pruning with every axiom whose
     symbols are already decided.  Yields exactly the structures that
     enumerate_structures + is_model would keep, in the same order.
 
-    limit bounds the number of candidate nodes the search may visit.
+    limit (None for no bound) bounds the number of candidate nodes the
+    search may visit; the one-element list visited counts them.
     """
     sig = theory.signature
-    budget = [limit if limit is not None else float("inf")]
     symbols = [("rel", n, a) for n, a in sig.rels] + [("fun", n, a) for n, a in sig.funs]
     defs = _definition_map(theory, symbols)
     ax_syms = [(ax, _axiom_symbols(ax)) for ax in theory.axioms]
@@ -542,8 +588,8 @@ def _search_models(theory, S, limit=None):
             keys = tuple(b[0] for b in blocks)
 
             def descend(i, rels, funs):
-                budget[0] -= 1
-                if budget[0] < 0:
+                visited[0] += 1
+                if limit is not None and visited[0] > limit:
                     raise LimitExceeded("model search exceeded its node budget")
                 probe = IndexedStructure(elements, blocks, rels, funs)
                 for ax in stage_axioms[i]:
@@ -577,23 +623,31 @@ def build_model_class(theory, S, limit=DEFAULT_LIMIT):
     so heavily axiomatized theories stay cheap even when the raw structure
     count is large.
     """
-    models = list(_search_models(theory, S, limit))
+    visited = [0]
+    models = list(_search_models(theory, S, limit, visited))
     isos = []
     for i, M in enumerate(models):
         for j, N in enumerate(models):
             isos.extend(enumerate_isomorphisms(M, N))
-    return ModelClass(theory, S, models, isos)
+    return ModelClass(theory, S, models, isos, search_nodes=visited[0])
 
 
 _class_cache = {}
 
 
 def model_class(theory, S, limit=DEFAULT_LIMIT):
-    """Cached build_model_class; theories are hashable values."""
+    """Cached build_model_class; theories are hashable values.
+
+    A cached class raises LimitExceeded exactly when a fresh build would:
+    when its search visited more nodes than limit allows.
+    """
     key = (theory, S.size)
-    if key not in _class_cache:
-        _class_cache[key] = build_model_class(theory, S, limit)
-    return _class_cache[key]
+    mc = _class_cache.get(key)
+    if mc is None:
+        mc = _class_cache[key] = build_model_class(theory, S, limit)
+    elif limit is not None and mc.search_nodes > limit:
+        raise LimitExceeded("model search exceeded its node budget")
+    return mc
 
 
 def entails(theory, S, seq, limit=DEFAULT_LIMIT):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InvariantError, SignatureError, SiteError
+from .errors import InvariantError, LimitExceeded, SignatureError, SiteError
 from .groupoid import TopGroupoid, build_model_groupoid
 from .logic import Eq, Exists, Var, conj, fic, substitute
 from .models import ModelClass, fibers, star_headroom
@@ -20,6 +20,7 @@ from .topology import (
     BasicOpenI,
     BasicOpenM,
     FinSpace,
+    atomic_subbasis,
     basic_open_arrows,
     basic_open_points,
     symmetric_varray,
@@ -137,8 +138,6 @@ class EquivariantSheaf:
                 nxt = cur | gset
                 if nxt not in seen:
                     if len(seen) >= limit:
-                        from .errors import LimitExceeded
-
                         raise LimitExceeded("stable-open lattice too large", len(seen))
                     seen.add(nxt)
                     frontier.append(nxt)
@@ -225,10 +224,12 @@ def definable_sheaf(mc: ModelClass, f) -> DefinableSheaf:
 
     Topology: coarsest with continuous projection and open section images;
     the subbasis is projection preimages of the atomic opens together with
-    one section image per parameter tuple.
+    one section image per parameter tuple.  Built once per formula and kept
+    in the class's sheaf table.
     """
-    from .topology import atomic_opens
-
+    hit = mc._sheaves.get(f)
+    if hit is not None:
+        return hit
     g = build_model_groupoid(mc)
     k = len(f)
     points = []
@@ -238,7 +239,7 @@ def definable_sheaf(mc: ModelClass, f) -> DefinableSheaf:
     index = {p: n for n, p in enumerate(points)}
     r = tuple(i for i, _ in points)
     sub = []
-    for name, pts, _ in atomic_opens(mc):
+    for name, pts, _ in atomic_subbasis(mc):
         sub.append((f"p1{name}", frozenset(n for n, (i, _) in enumerate(points) if i in pts)))
     for params in itertools.product(mc.S.elements(), repeat=k):
         img = set()
@@ -255,7 +256,8 @@ def definable_sheaf(mc: ModelClass, f) -> DefinableSheaf:
         for n, (i, t) in enumerate(points):
             if i == mc.iso_dom[j]:
                 act[(j, n)] = index[(mc.iso_cod[j], iso.apply_tuple(t))]
-    return DefinableSheaf(mc, f, g, points, space, r, act)
+    sheaf = mc._sheaves[f] = DefinableSheaf(mc, f, g, points, space, r, act)
+    return sheaf
 
 
 def act_theta(sheaf: DefinableSheaf, iso_idx, point_idx):
@@ -515,8 +517,6 @@ def stable_opens_of_site(site: MoerdijkSiteObject, limit=300_000):
             nxt = cur | gset
             if nxt not in seen:
                 if len(seen) >= limit:
-                    from .errors import LimitExceeded
-
                     raise LimitExceeded("stable-open lattice too large", len(seen))
                 seen.add(nxt)
                 frontier.append(nxt)

@@ -15,8 +15,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import LimitExceeded, SignatureError
-from .logic import Eq, Rel, TOP, Var, fic
-from .models import ModelClass
+from .logic import App, Eq, Rel, TOP, Var, conj, fic
+from .models import IndexedStructure, ModelClass
 
 DEFAULT_LATTICE_LIMIT = 300_000
 
@@ -160,33 +160,39 @@ def trivial_open_i():
 
 
 def basic_open_points(mc: ModelClass, b: BasicOpenM):
-    """Models in which the parameters are defined and satisfy the formula."""
-    out = set()
-    for i, M in enumerate(mc.models):
-        if all(M.has(p) for p in b.params):
-            key = tuple(M.block_key(p) for p in b.params)
-            if key in mc.ext(i, b.formula):
-                out.add(i)
-    return frozenset(out)
+    """Models in which the parameters are defined and satisfy the formula.
+
+    Memoized in the class's points table, by formula and then by params.
+    """
+    by_params = mc._points.get(b.formula)
+    if by_params is None:
+        by_params = mc._points[b.formula] = {}
+    hit = by_params.get(b.params)
+    if hit is None:
+        out = set()
+        for i, M in enumerate(mc.models):
+            if all(M.has(p) for p in b.params):
+                key = tuple(M.block_key(p) for p in b.params)
+                if key in mc.ext(i, b.formula):
+                    out.add(i)
+        hit = by_params[b.params] = frozenset(out)
+    return hit
 
 
 def basic_open_arrows(mc: ModelClass, v: BasicOpenI):
-    """Arrows satisfying the domain, preservation and codomain conditions."""
+    """Arrows satisfying the domain, preservation and codomain conditions:
+    the arrows between the two basic opens of models, intersected with the
+    class's preservation set <a->b> of each pair."""
     dom_set = basic_open_points(mc, v.dom)
     cod_set = basic_open_points(mc, v.cod)
+    arrows = range(len(mc.isos))
+    if v.pairs:
+        # ascending, as the scan this replaced added them: insertion order
+        # fixes the iteration order of the result
+        arrows = sorted(frozenset.intersection(*(mc.preserving(a, b) for a, b in v.pairs)))
     out = set()
-    for j, f in enumerate(mc.isos):
-        if mc.iso_dom[j] not in dom_set or mc.iso_cod[j] not in cod_set:
-            continue
-        ok = True
-        for a, b in v.pairs:
-            if not (f.dom.has(a) and f.cod.has(b)):
-                ok = False
-                break
-            if f.apply(f.dom.block_key(a)) != f.cod.block_key(b):
-                ok = False
-                break
-        if ok:
+    for j in arrows:
+        if mc.iso_dom[j] in dom_set and mc.iso_cod[j] in cod_set:
             out.add(j)
     return frozenset(out)
 
@@ -202,8 +208,9 @@ def _var_tuple(k):
 def atomic_opens(mc: ModelClass):
     """The subbasic opens of the logical topology on the model set.
 
-    Yields (name, point set, BasicOpenM): definedness sets, equality sets,
-    relation sets and function-equation sets, in a fixed order.
+    A tuple of (name, point set, BasicOpenM): definedness sets, equality
+    sets, relation sets and function-equation sets, in a fixed order.  This
+    builds it; atomic_subbasis keeps the class's one copy.
     """
     sig = mc.theory.signature
     S = mc.S
@@ -223,20 +230,25 @@ def atomic_opens(mc: ModelClass):
             label = f"<{name},({','.join(map(str, t))})>"
             out.append((label, basic_open_points(mc, op), op))
     for name, arity in sig.funs:
-        from .logic import App
-
         for t in itertools.product(S.elements(), repeat=arity + 1):
             args, val = t[:arity], t[arity]
             phi = Eq(App(name, _var_tuple(arity)), Var(f"x{arity}"))
             op = BasicOpenM(fic([f"x{i}" for i in range(arity + 1)], phi), t)
             label = f"<{name}({','.join(map(str, args))})={val}>"
             out.append((label, basic_open_points(mc, op), op))
-    return out
+    return tuple(out)
+
+
+def atomic_subbasis(mc: ModelClass):
+    """atomic_opens(mc), built on first use and kept by the class."""
+    if mc._atomic is None:
+        mc._atomic = atomic_opens(mc)
+    return mc._atomic
 
 
 def model_space(mc: ModelClass):
     """The model set with the logical topology (subbasis of atomic opens)."""
-    return FinSpace(len(mc.models), [(name, pts) for name, pts, _ in atomic_opens(mc)])
+    return FinSpace(len(mc.models), [(name, pts) for name, pts, _ in atomic_subbasis(mc)])
 
 
 def arrow_space(mc: ModelClass, space=None):
@@ -248,7 +260,7 @@ def arrow_space(mc: ModelClass, space=None):
     if space is None:
         space = model_space(mc)
     sub = []
-    for name, pts, _ in atomic_opens(mc):
+    for name, pts, _ in atomic_subbasis(mc):
         sub.append((f"d{name}", frozenset(j for j in range(len(mc.isos)) if mc.iso_dom[j] in pts)))
         sub.append((f"c{name}", frozenset(j for j in range(len(mc.isos)) if mc.iso_cod[j] in pts)))
     for a in mc.S.elements():
@@ -266,8 +278,6 @@ def horn_diagram(M, subset=None):
     The resulting basic open is the intersection of all subbasic opens
     containing M that only mention indices in the subset.
     """
-    from .logic import App
-
     elements = sorted(M.domain if subset is None else subset)
     pos = {a: i for i, a in enumerate(elements)}
     ctx = [f"x{i}" for i in range(len(elements))]
@@ -294,8 +304,6 @@ def horn_diagram(M, subset=None):
                         parts.append(
                             Eq(App(name, tuple(Var(ctx[pos[x]]) for x in combo)), Var(ctx[pos[v]]))
                         )
-    from .logic import conj
-
     return BasicOpenM(fic(ctx, conj(parts)), tuple(elements))
 
 
@@ -377,8 +385,6 @@ def filter_to_model(mc: ModelClass, filt: CPFilter):
     Carrier: indices a with the definedness open in the filter; equality,
     relations and functions by filter membership of their atomic opens.
     """
-    from .models import IndexedStructure
-
     sig = mc.theory.signature
     S = mc.S
     A = [a for a in S.elements() if filt.contains(basic_open_points(mc, BasicOpenM(fic(["x0"], TOP), (a,))))]
@@ -411,8 +417,6 @@ def filter_to_model(mc: ModelClass, filt: CPFilter):
         rels[name] = frozenset(got)
     funs = {}
     for name, arity in sig.funs:
-        from .logic import App
-
         phi = fic(
             [f"x{i}" for i in range(arity + 1)],
             Eq(App(name, _var_tuple(arity)), Var(f"x{arity}")),
