@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import itertools
 
+from .duality import enumerate_stable_arrow_sets
 from .groupoid import build_model_groupoid, open_image_d, structure_map_preimages
-from .logic import TOP, fic
+from .logic import TOP, Sequent, fic
 from .models import ModelClass, star_headroom, star_lemma
 from .search import FormulaSearch
 from .sheaves import (
@@ -310,8 +311,6 @@ def check_guns(mc: ModelClass, depth=2, ctx_max=1):
 def check_density(mc: ModelClass, n_limit=10_000):
     """Every element of every site object receives a covering certificate
     from a definable sheaf, or a headroom gate."""
-    from .duality import enumerate_stable_arrow_sets
-
     g = build_model_groupoid(mc)
     verified = 0
     gated = []
@@ -346,8 +345,6 @@ def check_density(mc: ModelClass, n_limit=10_000):
 def check_gun_subobjects(mc: ModelClass, n_limit=10_000):
     """The frame of stable opens of U matches the subsheaf lattice of each
     site object by the domain-restriction bijection."""
-    from .duality import enumerate_stable_arrow_sets
-
     g = build_model_groupoid(mc)
     failures = []
     count = 0
@@ -448,8 +445,6 @@ def check_fullness_on_subobjects(mc: ModelClass, depth=3, ctx_max=1):
 
 def check_conservativity(mc: ModelClass, depth=3, ctx_max=1):
     """Containment of definable sheaves coincides with entailment."""
-    from .logic import Sequent
-
     search = FormulaSearch(mc)
     failures = []
     checked = 0

@@ -30,7 +30,7 @@ from .groupoid import build_model_groupoid
 from .models import IndexSet, model_class
 from .parser import parse_formula_in_context, parse_theory
 from .sheaves import definable_sheaf
-from .topology import model_space
+from .topology import cp_filters, model_space
 
 EXIT_PASS, EXIT_FAIL, EXIT_GATED = 0, 1, 2
 EXIT_IO, EXIT_PARSE, EXIT_LIMIT = 3, 4, 5
@@ -205,8 +205,6 @@ def _command_topology(theory, cfg):
         status = "gated"
     if "fail" in (sob["status"], basis["status"]):
         status = "fail"
-    from modform.topology import cp_filters
-
     return {
         "opens": len(space.opens()),
         "open_sets": [sorted(o) for o in space.opens()],

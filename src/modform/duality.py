@@ -25,6 +25,7 @@ from .logic import (
     And,
     App,
     BOT,
+    Bot,
     EQUALITY_THEORY,
     Eq,
     Exists,
@@ -35,11 +36,20 @@ from .logic import (
     Signature,
     Theory,
     TOP,
+    Top,
     Var,
+    disj,
     fic,
     initial_interpretation,
 )
-from .models import DEFAULT_LIMIT, IndexedStructure, ModelClass, StructIso, fibers, model_class
+from .models import (
+    DEFAULT_LIMIT,
+    IndexedStructure,
+    ModelClass,
+    StructIso,
+    check_interpretation,
+    model_class,
+)
 from .search import FormulaSearch, functional_families
 from .sheaves import EquivariantSheaf, definable_sheaf
 from .topology import BasicOpenI, BasicOpenM, FinSpace, basic_open_arrows
@@ -85,13 +95,6 @@ def mod_functor(theory, S, limit=None):
         raise SignatureError(f"forgetful morphism preimage identities fail: {bad[:2]}")
     mc = model_class(theory, S, limit)
     return GroupoidOverS(morphism.src, model_class(EQUALITY_THEORY, S), morphism.f0, morphism.f1, mc)
-
-
-def s_over_s(S):
-    """The groupoid of sets over itself (the identity slice object)."""
-    smc = model_class(EQUALITY_THEORY, S)
-    g = build_model_groupoid(smc)
-    return GroupoidOverS(g, smc, tuple(range(g.objects.size)), tuple(range(g.arrows.size)), smc)
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +496,6 @@ def theory_view(rc: RelationCategory):
         gen_set = set(irreducibles[k])
         for i, V in enumerate(lvl):
             if V not in gen_set:
-                from .logic import disj
-
                 decomposition = disj(
                     [atom(k, index_of[k][W]) for W in irreducibles[k] if W <= V]
                 )
@@ -860,18 +861,16 @@ def eval_in_category(rc: RelationCategory, names_inv, phi, positions, ctx_len):
     the stable opens themselves, connectives are lattice operations, and
     the existential is the projection image.  positions maps variable names
     to coordinates of the current context."""
-    from .logic import And as _And, Bot as _Bot, Eq as _Eq, Exists as _Exists, Or as _Or, Rel as _Rel, Top as _Top
-
     sheaf = rc.powers[ctx_len]
     full = frozenset(range(len(sheaf.points)))
-    if isinstance(phi, _Bot):
+    if isinstance(phi, Bot):
         return frozenset()
-    if isinstance(phi, _Top):
+    if isinstance(phi, Top):
         return full
-    if isinstance(phi, _Eq):
+    if isinstance(phi, Eq):
         a, b = positions[phi.left.name], positions[phi.right.name]
         return frozenset(i for i, (x, t) in enumerate(sheaf.points) if t[a] == t[b])
-    if isinstance(phi, _Rel):
+    if isinstance(phi, Rel):
         k, idx = names_inv[phi.name]
         V = rc.levels[k][idx]
         base = rc.powers[k]
@@ -881,17 +880,17 @@ def eval_in_category(rc: RelationCategory, names_inv, phi, positions, ctx_len):
             for i, (x, t) in enumerate(sheaf.points)
             if base.point_index[(x, tuple(t[s] for s in sigma))] in V
         )
-    if isinstance(phi, _And):
+    if isinstance(phi, And):
         out = full
         for p in phi.parts:
             out &= eval_in_category(rc, names_inv, p, positions, ctx_len)
         return out
-    if isinstance(phi, _Or):
+    if isinstance(phi, Or):
         out = frozenset()
         for p in phi.parts:
             out |= eval_in_category(rc, names_inv, p, positions, ctx_len)
         return out
-    if isinstance(phi, _Exists):
+    if isinstance(phi, Exists):
         if ctx_len + 1 not in rc.levels:
             raise LimitExceeded("existential exceeds the computed power levels")
         inner_pos = dict(positions)
@@ -974,30 +973,72 @@ def check_strong_fullness(gos: GroupoidOverS):
     return len(witnesses) == 0, witnesses
 
 
+def _bits(mask):
+    """The arrows of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _hull_tables(g: TopGroupoid):
+    """Per-arrow bitmask tables for closing arrow sets: `push[a]` holds the
+    minimal neighbourhood of `a` and its inverse; `left[a]` pairs each `b`
+    with `d(a) == c(b)` with the bit of `a∘b`, `right[a]` each `b` with
+    `d(b) == c(a)` with the bit of `b∘a`."""
+    push = []
+    for a in range(g.arrows.size):
+        m = 1 << g.i[a]
+        for b in g.arrows.minimal_nbhd(a):
+            m |= 1 << b
+        push.append(m)
+    left = [[] for _ in push]
+    right = [[] for _ in push]
+    for (a, b), ab in g.comp.items():
+        left[a].append((b, 1 << ab))
+        right[b].append((a, 1 << ab))
+    return push, left, right
+
+
+def _close(tables, hull, todo):
+    """Close the bitmask `hull`, whose arrows outside `todo` already have
+    their pushes and their composites with one another in it.
+
+    Each arrow of `todo`, and each arrow added, is taken once: it pushes
+    its neighbourhood and inverse and composes with every member present
+    then; a pair whose other member joins later is formed when that one is
+    taken."""
+    push, left, right = tables
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        a = low.bit_length() - 1
+        m = push[a]
+        for b, ab in left[a]:
+            if hull >> b & 1:
+                m |= ab
+        for b, ab in right[a]:
+            if hull >> b & 1:
+                m |= ab
+        m &= ~hull
+        hull |= m
+        todo |= m
+    return hull
+
+
 def closed_hull(g: TopGroupoid, arrows, closed=frozenset()):
     """The smallest open, inverse- and composition-closed superset of
-    `arrows` and `closed`; the caller promises `closed` is already closed.
-
-    A worklist adds each arrow once and composes it only with the members
-    in its two fibers (those ending where it starts, those starting where it
-    ends): a composable pair of the hull is formed when its later member is
-    added, and pairs inside `closed` never."""
-    hull = set(closed)
-    into = fibers(g.c, hull)  # members by codomain
-    out_of = fibers(g.d, hull)  # members by domain
-    work = list(arrows)
-    while work:
-        a = work.pop()
-        if a in hull:
-            continue
-        hull.add(a)
-        into.setdefault(g.c[a], []).append(a)
-        out_of.setdefault(g.d[a], []).append(a)
-        work.extend(g.arrows.minimal_nbhd(a))
-        work.append(g.i[a])
-        work.extend(g.comp[(a, b)] for b in into.get(g.d[a], ()))
-        work.extend(g.comp[(b, a)] for b in out_of.get(g.c[a], ()))
-    return frozenset(hull)
+    `arrows` and `closed`; the caller promises `closed` is already closed,
+    so pairs inside it are never composed again."""
+    base = 0
+    for a in closed:
+        base |= 1 << a
+    extra = 0
+    for a in arrows:
+        extra |= 1 << a
+    return frozenset(_bits(_close(_hull_tables(g), base | extra, extra & ~base)))
 
 
 def enumerate_stable_arrow_sets(g: TopGroupoid, limit=10_000):
@@ -1007,25 +1048,36 @@ def enumerate_stable_arrow_sets(g: TopGroupoid, limit=10_000):
     single arrows, so a depth-first closure search (a stack of found sets,
     each extended by every generator hull) enumerates exactly the valid
     sets without scanning the full open lattice.
+
+    Sets are bitmasks here.  The join of two closed sets composes only the
+    arrows of one missing from the other, and the arrows it adds; and as
+    it depends only on their union, it is memoized by that union for the
+    duration of the call (most joins repeat an earlier union).
     """
-    gens = sorted(
-        {closed_hull(g, {a}) for a in range(g.arrows.size)},
-        key=lambda s: (len(s), sorted(s)),
-    )
-    seen = {frozenset()}
-    frontier = [frozenset()]
+    tables = _hull_tables(g)
+
+    def key(mask):
+        return (mask.bit_count(), _bits(mask))
+
+    gens = sorted({_close(tables, 1 << a, 1 << a) for a in range(g.arrows.size)}, key=key)
+    joins = {}
+    seen = {0}
+    frontier = [0]
     while frontier:
         cur = frontier.pop()
         for gen in gens:
-            if gen <= cur:
+            if not gen & ~cur:
                 continue
-            nxt = closed_hull(g, gen, cur)
+            union = cur | gen
+            nxt = joins.get(union)
+            if nxt is None:
+                nxt = joins[union] = _close(tables, union, gen & ~cur)
             if nxt not in seen:
                 if len(seen) >= limit:
                     raise LimitExceeded("too many closed arrow sets", len(seen))
                 seen.add(nxt)
                 frontier.append(nxt)
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+    return [frozenset(_bits(m)) for m in sorted(seen, key=key)]
 
 
 def check_sem_conditions(gos: GroupoidOverS, n_limit=10_000):
@@ -1047,6 +1099,18 @@ def check_sem_conditions(gos: GroupoidOverS, n_limit=10_000):
             s_arrow_pres[key] = basic_open_arrows(gos.s_mc, v)
         return s_arrow_pres[key]
 
+    arrows_within = {}  # (x, a) -> arrows inside nbhd(x) preserving a; the same for every N
+
+    def candidate(x, a):
+        if (x, a) not in arrows_within:
+            W = g.objects.minimal_nbhd(x)
+            arrows_within[(x, a)] = frozenset(
+                f
+                for f in range(g.arrows.size)
+                if gos.f1[f] in preserved(a) and g.d[f] in W and g.c[f] in W
+            )
+        return arrows_within[(x, a)]
+
     results = []
     for N in enumerate_stable_arrow_sets(g, n_limit):
         dN = frozenset(g.d[f] for f in N)
@@ -1060,12 +1124,7 @@ def check_sem_conditions(gos: GroupoidOverS, n_limit=10_000):
                 A = gos.carrier(x)
                 for size in range(S.size + 1):
                     for a in itertools.permutations(sorted(A.domain), size):
-                        candidate = frozenset(
-                            f
-                            for f in range(g.arrows.size)
-                            if gos.f1[f] in preserved(a) and g.d[f] in W and g.c[f] in W
-                        )
-                        if candidate <= N:
+                        if candidate(x, a) <= N:
                             found = {"x": x, "a": a, "W": W}
                             break
                     if found:
@@ -1135,8 +1194,6 @@ def enumerate_morphisms_over_s(gos: GroupoidOverS, target: GroupoidOverS):
 def enumerate_interpretations(theory, form_theory, rc: RelationCategory, names, S, limit=None):
     """All interpretations of a theory into a relation-category theory with
     atomic stable-open images, validated semantically."""
-    from .models import check_interpretation
-
     limit = DEFAULT_LIMIT if limit is None else limit
     rel_options = []
     for n, a in theory.signature.rels:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SignatureError
+from .errors import InterpretationError, SignatureError
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +474,6 @@ class Interpretation:
 
 
 def InterpretationErrorFor(name, want, img):
-    from .errors import InterpretationError
-
     got = "missing" if img is None else f"context length {len(img)}"
     return InterpretationError(f"image of {name} must have context length {want}, {got}")
 

@@ -29,6 +29,7 @@ from .logic import (
     Theory,
     Top,
     Var,
+    substitute,
 )
 
 DEFAULT_LIMIT = 200_000
@@ -133,22 +134,6 @@ class IndexedStructure:
 
     def dumps(self):
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-
-
-def validate_structure(sig, M):
-    """Check that M interprets every symbol of sig with the right shape."""
-    keys = M.keys
-    for name, arity in sig.rels:
-        for t in M.rel(name):
-            if len(t) != arity:
-                raise SignatureError(f"tuple arity mismatch in {name}")
-    for name, arity in sig.funs:
-        g = M.funs.get(name)
-        if g is None:
-            raise SignatureError(f"missing interpretation of function {name}")
-        want = set(itertools.product(keys, repeat=arity))
-        if set(g) != want:
-            raise SignatureError(f"function {name} not total")
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +737,7 @@ def functionality_sequents(interp):
         total = Sequent(tuple(ctx), Top(), Exists(f"x{arity}", body))
         ren = {f"x{i}": Var(f"x{i}") for i in range(arity)}
         ren[f"x{arity}"] = Var(f"x{arity + 1}")
-        body2 = _substitute_total(body, ren)
+        body2 = substitute(body, ren)
         unique = Sequent(
             tuple(ctx + [f"x{arity}", f"x{arity + 1}"]),
             And((body, body2)),
@@ -760,12 +745,6 @@ def functionality_sequents(interp):
         )
         out.append((name, total, unique))
     return out
-
-
-def _substitute_total(phi, ren):
-    from .logic import substitute
-
-    return substitute(phi, ren)
 
 
 def check_interpretation(interp, S, limit=DEFAULT_LIMIT):

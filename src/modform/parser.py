@@ -25,6 +25,7 @@ from .logic import (
     App,
     BOT,
     Eq,
+    FormulaInContext,
     Rel,
     Sequent,
     Signature,
@@ -260,8 +261,6 @@ def parse_theory(text, name=""):
 
 def parse_formula_in_context(text, sig):
     """Parse `[x,y,...] PHI` against a given signature."""
-    from .logic import FormulaInContext
-
     tokens = _tokenize(text, 1)
     cur = _Cursor(tokens, 1)
     cur.expect("[")

@@ -1,18 +1,22 @@
-"""Fiber-indexed composition against the all-pairs scans it replaced.
+"""Fiber-indexed composition and the bitmask closure engine against the
+code they replaced.
 
-The all-pairs versions below are the reference implementations: every
-composable-pair computation that now walks codomain fibers must give the
-same result, in the same order, on real model groupoids.  Random arrow
-subsets come from seeded stdlib ``random``."""
+The all-pairs scans, the frozenset worklist closure and its depth-first
+enumerator below are the reference implementations: every composable-pair
+computation that now walks codomain fibers, and every arrow-set closure
+that now runs on bitmasks, must give the same result, in the same order,
+on real model groupoids.  Random arrow subsets come from seeded stdlib
+``random``."""
 
 import random
 
 import pytest
 
 from modform.duality import closed_hull, enumerate_stable_arrow_sets
+from modform.errors import LimitExceeded
 from modform.groupoid import TopGroupoid, build_model_groupoid
 from modform.logic import EQUALITY_THEORY
-from modform.models import IndexSet, model_class
+from modform.models import IndexSet, fibers, model_class
 from modform.parser import parse_theory
 
 THEORIES = {
@@ -43,6 +47,48 @@ def reference_closed_hull(g, arrows):
         if nxt == cur:
             return cur
         cur = nxt
+
+
+def reference_worklist_hull(g, arrows, closed=frozenset()):
+    """The frozenset worklist closure; `closed` must already be closed."""
+    hull = set(closed)
+    into = fibers(g.c, hull)
+    out_of = fibers(g.d, hull)
+    work = list(arrows)
+    while work:
+        a = work.pop()
+        if a in hull:
+            continue
+        hull.add(a)
+        into.setdefault(g.c[a], []).append(a)
+        out_of.setdefault(g.d[a], []).append(a)
+        work.extend(g.arrows.minimal_nbhd(a))
+        work.append(g.i[a])
+        work.extend(g.comp[(a, b)] for b in into.get(g.d[a], ()))
+        work.extend(g.comp[(b, a)] for b in out_of.get(g.c[a], ()))
+    return frozenset(hull)
+
+
+def reference_stable_arrow_sets(g, limit=10_000):
+    """The depth-first enumerator on frozensets, re-closing every join."""
+    gens = sorted(
+        {reference_worklist_hull(g, {a}) for a in range(g.arrows.size)},
+        key=lambda s: (len(s), sorted(s)),
+    )
+    seen = {frozenset()}
+    frontier = [frozenset()]
+    while frontier:
+        cur = frontier.pop()
+        for gen in gens:
+            if gen <= cur:
+                continue
+            nxt = reference_worklist_hull(g, gen, cur)
+            if nxt not in seen:
+                if len(seen) >= limit:
+                    raise LimitExceeded("too many closed arrow sets", len(seen))
+                seen.add(nxt)
+                frontier.append(nxt)
+    return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
 def reference_comp(mc):
@@ -119,7 +165,39 @@ def test_closed_hull_over_closed_base(name, n):
         assert closed_hull(g, gen, cur) == closed_hull(g, cur | frozenset(gen))
 
 
-@pytest.mark.parametrize("name,n,count", [("T_eq", 3, 619), ("P/1", 2, 71)])
+@pytest.mark.parametrize("name,n", CASES)
+def test_join_of_closed_sets_matches_fixpoint(name, n):
+    # the enumerator's join: both sides closed, only arrows of one side
+    # missing from the other (and the arrows they add) are composed
+    g = build_model_groupoid(_class(name, n))
+    rng = random.Random(17)
+    for _ in range(20):
+        cur = reference_closed_hull(g, _random_subset(rng, g.arrows.size, 2))
+        gen = reference_closed_hull(g, _random_subset(rng, g.arrows.size, 2))
+        assert closed_hull(g, gen, cur) == reference_closed_hull(g, cur | gen)
+
+
+@pytest.mark.parametrize("name,n", CASES)
+def test_stable_arrow_sets_match_reference_enumerator(name, n):
+    g = build_model_groupoid(_class(name, n))
+    assert enumerate_stable_arrow_sets(g) == reference_stable_arrow_sets(g)
+
+
+@pytest.mark.parametrize("name,n", [("T_eq", 2), ("P/1", 2), ("symE", 2)])
+def test_stable_arrow_set_limit_matches_reference(name, n):
+    g = build_model_groupoid(_class(name, n))
+    count = len(reference_stable_arrow_sets(g))
+    assert len(enumerate_stable_arrow_sets(g, count)) == count
+    with pytest.raises(LimitExceeded) as new:
+        enumerate_stable_arrow_sets(g, count - 1)
+    with pytest.raises(LimitExceeded) as ref:
+        reference_stable_arrow_sets(g, count - 1)
+    assert new.value.estimate == ref.value.estimate == count - 1
+
+
+@pytest.mark.parametrize(
+    "name,n,count", [("T_eq", 3, 619), ("P/1", 2, 71), ("symE", 2, 348)]
+)
 def test_stable_arrow_set_counts(name, n, count):
     g = build_model_groupoid(_class(name, n))
     assert len(enumerate_stable_arrow_sets(g)) == count
