@@ -13,7 +13,6 @@ from modform import (
     cp_filters,
     fic,
     filter_to_model,
-    generate_opens,
     model_class,
     model_space,
     neighborhood_filter,
@@ -37,7 +36,7 @@ print(f"{glued}  ->  models {sorted(basic_open_points(mc, glued))}")
 print()
 print("== the open lattice ==")
 space = model_space(mc)
-for o in generate_opens(space):
+for o in space.opens():
     print("  ", sorted(o))
 
 print()

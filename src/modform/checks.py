@@ -27,6 +27,8 @@ from .topology import (
     BasicOpenM,
     basic_open_arrows,
     basic_open_points,
+    closure_lattice,
+    mask,
     model_space,
     sobriety_report,
 )
@@ -368,25 +370,11 @@ def check_basis_property(mc: ModelClass, depth=3, ctx_max=2, limit=300_000):
     opens, and by bounded geometric basic opens all agree; and every
     geometric basic open is open in the atomic lattice."""
     space = model_space(mc)
-    atomic_lattice = set(space.opens(limit))
-    horn = FormulaSearch(mc, "horn")
-    geo = FormulaSearch(mc, "geometric")
+    atomic_lattice = space.opens(limit)
     lattices = {}
-    for name, search in (("horn", horn), ("geometric", geo)):
-        opens = set()
-        for b in _basic_open_m_choices(mc, search, ctx_max, depth):
-            opens.add(basic_open_points(mc, b))
-        seen = {frozenset()}
-        frontier = [frozenset()]
-        gens = sorted(opens, key=lambda s: (len(s), sorted(s)))
-        while frontier:
-            cur = frontier.pop()
-            for gset in gens:
-                nxt = cur | gset
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        lattices[name] = seen
+    for name in ("horn", "geometric"):
+        choices = _basic_open_m_choices(mc, FormulaSearch(mc, name), ctx_max, depth)
+        lattices[name] = closure_lattice((mask(basic_open_points(mc, b)) for b in choices), limit)
     all_open = all(space.is_open(o) for o in lattices["geometric"])
     same = lattices["horn"] == lattices["geometric"] == atomic_lattice
     return {

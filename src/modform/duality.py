@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import LimitExceeded, SignatureError
+from .errors import InvariantError, LimitExceeded, SignatureError
 from .groupoid import (
     GroupoidMorphism,
     TopGroupoid,
@@ -51,8 +51,16 @@ from .models import (
     model_class,
 )
 from .search import FormulaSearch, functional_families
-from .sheaves import EquivariantSheaf, definable_sheaf
-from .topology import BasicOpenI, BasicOpenM, FinSpace, basic_open_arrows
+from .sheaves import EquivariantSheaf, definable_sheaf, stable_open_lattice
+from .topology import (
+    BasicOpenI,
+    BasicOpenM,
+    FinSpace,
+    basic_open_arrows,
+    bits,
+    closure_lattice,
+    mask,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +77,8 @@ class GroupoidOverS:
     f0: tuple  # object -> S-object index
     f1: tuple  # arrow -> S-arrow index
     mc: ModelClass = None  # backing model class when this is Mod(T)
+    # u_power's sheaves by exponent, built on first use
+    powers: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def s_groupoid(self):
@@ -108,12 +118,8 @@ def u_power(gos: GroupoidOverS, k) -> EquivariantSheaf:
     generated by projection preimages and one section per index tuple; the
     action applies the underlying set bijection coordinatewise.
     """
-    cache = getattr(gos, "_power_cache", None)
-    if cache is None:
-        cache = {}
-        gos._power_cache = cache
-    if k in cache:
-        return cache[k]
+    if k in gos.powers:
+        return gos.powers[k]
     g = gos.groupoid
     points = []
     for x in range(g.objects.size):
@@ -142,7 +148,7 @@ def u_power(gos: GroupoidOverS, k) -> EquivariantSheaf:
             if x == g.d[a]:
                 act[(a, i)] = index[(g.c[a], iso.apply_tuple(t))]
     sheaf = EquivariantSheaf(g, points, space, r, act, mc=gos.mc)
-    cache[k] = sheaf
+    gos.powers[k] = sheaf
     return sheaf
 
 
@@ -180,8 +186,9 @@ class RelationCategory:
     levels[k] lists the stable opens of the k-th power (as frozensets of
     power point indices) for k up to 2*k_max; category objects live at
     k <= k_max and arrows are stable-open functional graphs at the sum of
-    the endpoint levels.  The empty groupoid is flagged inconsistent and
-    carries the degenerate category instead.
+    the endpoint levels.  index[k] maps each stable open of levels[k] to its
+    position.  The empty groupoid is flagged inconsistent and carries the
+    degenerate category instead.
     """
 
     gos: GroupoidOverS
@@ -189,6 +196,7 @@ class RelationCategory:
     inconsistent: bool
     powers: list = field(default_factory=list)
     levels: dict = field(default_factory=dict)
+    index: dict = field(default_factory=dict)
     objects: dict = field(default_factory=dict)
     arrows: dict = field(default_factory=dict)
     inclusions: dict = field(default_factory=dict)
@@ -197,6 +205,14 @@ class RelationCategory:
         if self.inconsistent:
             return 1
         return len(self.objects[k])
+
+    def position(self, k, V, what):
+        """The position of V in levels[k]; every caller's V is a stable
+        open by a theorem, so a miss is a checker bug."""
+        i = self.index[k].get(V)
+        if i is None:
+            raise InvariantError(f"{what} is not a stable open at level {k}")
+        return i
 
     def fiber(self, k, obj_idx, x):
         """The fiber of an object over a groupoid object, as block tuples."""
@@ -218,6 +234,7 @@ def form_functor(gos: GroupoidOverS, k_max, limit=300_000) -> RelationCategory:
     rc.powers = [u_power(gos, k) for k in range(2 * k_max + 1)]
     for k in range(2 * k_max + 1):
         rc.levels[k] = rc.powers[k].stable_opens(limit)
+        rc.index[k] = {V: i for i, V in enumerate(rc.levels[k])}
     for k in range(k_max + 1):
         rc.objects[k] = rc.levels[k]
     for j in range(k_max + 1):
@@ -386,13 +403,7 @@ def counit(theory, S, k_max, depth, limit=None):
         mapped = []
         for (f, fam) in tc.objects[k]:
             pts = definable_point_set(rc, k, fam)
-            try:
-                idx = rc.objects[k].index(pts)
-            except ValueError:
-                raise SignatureError(
-                    f"definable extension of {f} is not a stable open"
-                )  # stability and openness are theorems here
-            mapped.append(idx)
+            mapped.append(rc.position(k, pts, f"definable extension of {f}"))
         object_map[k] = mapped
         missed = sorted(set(range(len(rc.objects[k]))) - set(mapped))
         unmatched_objects[k] = missed
@@ -453,14 +464,10 @@ def theory_view(rc: RelationCategory):
     rels = []
     irreducibles = {}
     for k in sorted(rc.levels):
-        sheaf = rc.powers[k]
-        gens = sorted(
-            {sheaf.minimal_stable_open(p) for p in range(len(sheaf.points))},
-            key=lambda s: (len(s), sorted(s)),
-        )
-        irreducibles[k] = gens
-        order = [i for i, V in enumerate(rc.levels[k]) if V in set(gens)]
-        order += [i for i in range(len(rc.levels[k])) if i not in set(order)]
+        least = {frozenset(bits(m)) for m in rc.powers[k].least_stable_opens()}
+        irreducibles[k] = [V for V in rc.levels[k] if V in least]
+        order = [i for i, V in enumerate(rc.levels[k]) if V in least]
+        order += [i for i, V in enumerate(rc.levels[k]) if V not in least]
         for i, V in enumerate(rc.levels[k]):
             names[(k, i)] = f"P{k}_{i}"
         # join-irreducible symbols first, so every other symbol has a
@@ -468,7 +475,6 @@ def theory_view(rc: RelationCategory):
         for i in order:
             rels.append((names[(k, i)], k))
     sig = Signature(tuple(rels), ())
-    index_of = {k: {V: i for i, V in enumerate(rc.levels[k])} for k in rc.levels}
     sheaves = rc.powers
 
     def atom(k, i):
@@ -489,21 +495,21 @@ def theory_view(rc: RelationCategory):
     for k, lvl in sorted(rc.levels.items()):
         full = frozenset(range(len(sheaves[k].points)))
         empty = frozenset()
-        add(ctx(k), TOP, atom(k, index_of[k][full]))
-        add(ctx(k), atom(k, index_of[k][full]), TOP)
-        add(ctx(k), atom(k, index_of[k][empty]), BOT)
-        add(ctx(k), BOT, atom(k, index_of[k][empty]))
+        add(ctx(k), TOP, atom(k, rc.index[k][full]))
+        add(ctx(k), atom(k, rc.index[k][full]), TOP)
+        add(ctx(k), atom(k, rc.index[k][empty]), BOT)
+        add(ctx(k), BOT, atom(k, rc.index[k][empty]))
         gen_set = set(irreducibles[k])
         for i, V in enumerate(lvl):
             if V not in gen_set:
                 decomposition = disj(
-                    [atom(k, index_of[k][W]) for W in irreducibles[k] if W <= V]
+                    [atom(k, rc.index[k][W]) for W in irreducibles[k] if W <= V]
                 )
                 add(ctx(k), atom(k, i), decomposition)
                 add(ctx(k), decomposition, atom(k, i))
         # pairwise lattice facts among the join-irreducibles; everything
         # else is pinned by its decomposition
-        gen_idx = [index_of[k][W] for W in irreducibles[k]]
+        gen_idx = [rc.index[k][W] for W in irreducibles[k]]
         for i in gen_idx:
             V = lvl[i]
             for j in gen_idx:
@@ -511,11 +517,11 @@ def theory_view(rc: RelationCategory):
                 if i != j and V <= W:
                     add(ctx(k), atom(k, i), atom(k, j))
                 meet = V & W
-                add(ctx(k), And((atom(k, i), atom(k, j))), atom(k, index_of[k][meet]))
-                add(ctx(k), atom(k, index_of[k][meet]), And((atom(k, i), atom(k, j))))
+                add(ctx(k), And((atom(k, i), atom(k, j))), atom(k, rc.index[k][meet]))
+                add(ctx(k), atom(k, rc.index[k][meet]), And((atom(k, i), atom(k, j))))
                 join = V | W
-                add(ctx(k), Or((atom(k, i), atom(k, j))), atom(k, index_of[k][join]))
-                add(ctx(k), atom(k, index_of[k][join]), Or((atom(k, i), atom(k, j))))
+                add(ctx(k), Or((atom(k, i), atom(k, j))), atom(k, rc.index[k][join]))
+                add(ctx(k), atom(k, rc.index[k][join]), Or((atom(k, i), atom(k, j))))
     # diagonals
     for k, lvl in sorted(rc.levels.items()):
         for a in range(k):
@@ -523,11 +529,10 @@ def theory_view(rc: RelationCategory):
                 diag = frozenset(
                     i for i, (x, t) in enumerate(sheaves[k].points) if t[a] == t[b]
                 )
-                if diag not in index_of[k]:
-                    raise SignatureError("diagonal is not a stable open")  # theorem
+                i = rc.position(k, diag, "diagonal")
                 eq = Eq(Var(f"x{a}"), Var(f"x{b}"))
-                add(ctx(k), atom(k, index_of[k][diag]), eq)
-                add(ctx(k), eq, atom(k, index_of[k][diag]))
+                add(ctx(k), atom(k, i), eq)
+                add(ctx(k), eq, atom(k, i))
     # projections of the last coordinate
     for k in sorted(rc.levels):
         if k + 1 not in rc.levels:
@@ -535,11 +540,10 @@ def theory_view(rc: RelationCategory):
         pw, pw1 = sheaves[k], sheaves[k + 1]
         for i, V in enumerate(rc.levels[k + 1]):
             proj = frozenset(pw.point_index[(x, t[:k])] for x, t in (pw1.points[p] for p in V))
-            if proj not in index_of[k]:
-                raise SignatureError("projection image is not a stable open")  # theorem
+            j = rc.position(k, proj, "projection image")
             ex = Exists(f"x{k}", Rel(names[(k + 1, i)], tuple(Var(f"x{m}") for m in range(k + 1))))
-            add(ctx(k), atom(k, index_of[k][proj]), ex)
-            add(ctx(k), ex, atom(k, index_of[k][proj]))
+            add(ctx(k), atom(k, j), ex)
+            add(ctx(k), ex, atom(k, j))
     # substitution instances
     for k in sorted(rc.levels):
         for m in sorted(rc.levels):
@@ -552,11 +556,10 @@ def theory_view(rc: RelationCategory):
                         for p, (x, t) in enumerate(pw_m.points)
                         if pw_k.point_index[(x, tuple(t[s] for s in sigma))] in Vset
                     )
-                    if inst not in index_of[m]:
-                        raise SignatureError("substitution instance is not a stable open")
+                    j = rc.position(m, inst, "substitution instance")
                     sub_atom = Rel(names[(k, i)], tuple(Var(f"x{s}") for s in sigma))
-                    add(ctx(m), atom(m, index_of[m][inst]), sub_atom)
-                    add(ctx(m), sub_atom, atom(m, index_of[m][inst]))
+                    add(ctx(m), atom(m, j), sub_atom)
+                    add(ctx(m), sub_atom, atom(m, j))
     return Theory(sig, tuple(axioms), "Form-theory"), names
 
 
@@ -647,8 +650,7 @@ def _counit_interpretation(theory, rc, names, form_theory):
     for n, a in theory.signature.rels:
         phi = fic([f"x{i}" for i in range(a)], Rel(n, tuple(Var(f"x{i}") for i in range(a))))
         fam = tuple(rc.gos.mc.ext(m, phi) for m in range(len(rc.gos.mc.models)))
-        pts = definable_point_set(rc, a, fam)
-        idx = rc.levels[a].index(pts)
+        idx = rc.position(a, definable_point_set(rc, a, fam), f"extension of {n}")
         rels.append(
             (n, fic([f"x{i}" for i in range(a)], Rel(names[(a, idx)], tuple(Var(f"x{i}") for i in range(a)))))
         )
@@ -659,8 +661,7 @@ def _counit_interpretation(theory, rc, names, form_theory):
             Eq(App(n, tuple(Var(f"x{i}") for i in range(a))), Var(f"x{a}")),
         )
         fam = tuple(rc.gos.mc.ext(m, graph) for m in range(len(rc.gos.mc.models)))
-        pts = definable_point_set(rc, a + 1, fam)
-        idx = rc.levels[a + 1].index(pts)
+        idx = rc.position(a + 1, definable_point_set(rc, a + 1, fam), f"graph of {n}")
         funs.append(
             (
                 n,
@@ -819,7 +820,7 @@ def form_interpretation(rc_src: RelationCategory, names_src, rc_dst: RelationCat
             for p, (x, t) in enumerate(dst_sheaf.points)
             if src_sheaf.point_index[(morphism.f0[x], t)] in V
         )
-        j = rc_dst.levels[k].index(pulled)
+        j = rc_dst.position(k, pulled, f"pullback of {name}")
         rels.append(
             (
                 name,
@@ -934,7 +935,7 @@ def check_reconstruction(theory, S, k_max, depth, limit=None):
             except LimitExceeded:
                 skipped += 1
                 continue
-            idx = rc.levels[k].index(val)
+            idx = rc.position(k, val, f"value of {phi}")
             re_presented = fic(
                 [f"x{m}" for m in range(k)],
                 Rel(names[(k, idx)], tuple(Var(f"x{m}") for m in range(k))),
@@ -973,27 +974,12 @@ def check_strong_fullness(gos: GroupoidOverS):
     return len(witnesses) == 0, witnesses
 
 
-def _bits(mask):
-    """The arrows of a bitmask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _hull_tables(g: TopGroupoid):
     """Per-arrow bitmask tables for closing arrow sets: `push[a]` holds the
     minimal neighbourhood of `a` and its inverse; `left[a]` pairs each `b`
     with `d(a) == c(b)` with the bit of `a∘b`, `right[a]` each `b` with
     `d(b) == c(a)` with the bit of `b∘a`."""
-    push = []
-    for a in range(g.arrows.size):
-        m = 1 << g.i[a]
-        for b in g.arrows.minimal_nbhd(a):
-            m |= 1 << b
-        push.append(m)
+    push = [m | 1 << g.i[a] for a, m in enumerate(g.arrows.masks)]
     left = [[] for _ in push]
     right = [[] for _ in push]
     for (a, b), ab in g.comp.items():
@@ -1032,52 +1018,35 @@ def closed_hull(g: TopGroupoid, arrows, closed=frozenset()):
     """The smallest open, inverse- and composition-closed superset of
     `arrows` and `closed`; the caller promises `closed` is already closed,
     so pairs inside it are never composed again."""
-    base = 0
-    for a in closed:
-        base |= 1 << a
-    extra = 0
-    for a in arrows:
-        extra |= 1 << a
-    return frozenset(_bits(_close(_hull_tables(g), base | extra, extra & ~base)))
+    base, extra = mask(closed), mask(arrows)
+    return frozenset(bits(_close(_hull_tables(g), base | extra, extra & ~base)))
 
 
 def enumerate_stable_arrow_sets(g: TopGroupoid, limit=10_000):
     """All open arrow sets closed under inverses and composition.
 
-    Every such set is reachable by repeatedly joining the closed hulls of
-    single arrows, so a depth-first closure search (a stack of found sets,
-    each extended by every generator hull) enumerates exactly the valid
-    sets without scanning the full open lattice.
+    Every such set is a join of the closed hulls of single arrows, so
+    closure_lattice over those hulls enumerates exactly the valid sets
+    without scanning the full open lattice.
 
-    Sets are bitmasks here.  The join of two closed sets composes only the
-    arrows of one missing from the other, and the arrows it adds; and as
-    it depends only on their union, it is memoized by that union for the
-    duration of the call (most joins repeat an earlier union).
+    The join passed to it closes the union of two closed sets on
+    bitmasks, composing only the arrows of one missing from the other and
+    the arrows it adds; as it depends only on the union, it is memoized by
+    that union for the duration of the call (most joins repeat an earlier
+    union).
     """
     tables = _hull_tables(g)
-
-    def key(mask):
-        return (mask.bit_count(), _bits(mask))
-
-    gens = sorted({_close(tables, 1 << a, 1 << a) for a in range(g.arrows.size)}, key=key)
     joins = {}
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        cur = frontier.pop()
-        for gen in gens:
-            if not gen & ~cur:
-                continue
-            union = cur | gen
-            nxt = joins.get(union)
-            if nxt is None:
-                nxt = joins[union] = _close(tables, union, gen & ~cur)
-            if nxt not in seen:
-                if len(seen) >= limit:
-                    raise LimitExceeded("too many closed arrow sets", len(seen))
-                seen.add(nxt)
-                frontier.append(nxt)
-    return [frozenset(_bits(m)) for m in sorted(seen, key=key)]
+
+    def join(cur, gen):
+        union = cur | gen
+        nxt = joins.get(union)
+        if nxt is None:
+            nxt = joins[union] = _close(tables, union, gen & ~cur)
+        return nxt
+
+    gens = {_close(tables, 1 << a, 1 << a) for a in range(g.arrows.size)}
+    return closure_lattice(gens, limit, join)
 
 
 def check_sem_conditions(gos: GroupoidOverS, n_limit=10_000):
@@ -1256,7 +1225,7 @@ def check_hom_bijection(gos: GroupoidOverS, theory, k_max, limit=None):
                 for i, (x, t) in enumerate(rc.powers[a].points)
                 if t in target.mc.models[m.f0[x]].rel(n)
             )
-            idx = rc.levels[a].index(V)
+            idx = rc.position(a, V, f"pullback of {n}")
             rels.append(
                 (
                     n,
@@ -1273,7 +1242,7 @@ def check_hom_bijection(gos: GroupoidOverS, theory, k_max, limit=None):
                 for i, (x, t) in enumerate(rc.powers[a + 1].points)
                 if target.mc.models[m.f0[x]].fun(n).get(t[:a]) == t[a]
             )
-            idx = rc.levels[a + 1].index(V)
+            idx = rc.position(a + 1, V, f"pullback of the graph of {n}")
             funs.append(
                 (
                     n,
@@ -1312,44 +1281,6 @@ def check_hom_bijection(gos: GroupoidOverS, theory, k_max, limit=None):
 
 # ---------------------------------------------------------------------------
 # coherent conditions
-
-
-def stable_open_lattice(g: TopGroupoid, U, N, limit=300_000):
-    """Open subsets of U closed under the arrow set N."""
-    U = frozenset(U)
-    N = frozenset(N)
-
-    def minimal_stable(x):
-        cur = g.objects.minimal_nbhd(x)
-        while True:
-            sat = set(cur)
-            for f in N:
-                if g.d[f] in sat:
-                    sat.add(g.c[f])
-            hull = set()
-            for y in sat:
-                hull |= g.objects.minimal_nbhd(y)
-            nxt = frozenset(hull)
-            if nxt == cur:
-                return cur
-            cur = nxt
-
-    gens = sorted({minimal_stable(x) for x in U}, key=lambda s: (len(s), sorted(s)))
-    for gen in gens:
-        if not gen <= U:
-            raise SignatureError("stable hull escapes U; N does not restrict to U")
-    seen = {frozenset()}
-    frontier = [frozenset()]
-    while frontier:
-        cur = frontier.pop()
-        for gen in gens:
-            nxt = cur | gen
-            if nxt not in seen:
-                if len(seen) >= limit:
-                    raise LimitExceeded("stable-open lattice too large", len(seen))
-                seen.add(nxt)
-                frontier.append(nxt)
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
 def coherent_check(gos: GroupoidOverS, k_max):

@@ -12,17 +12,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InvariantError, LimitExceeded, SignatureError, SiteError
+from .errors import InvariantError, SignatureError, SiteError
 from .groupoid import TopGroupoid, build_model_groupoid
 from .logic import Eq, Exists, Var, conj, fic, substitute
 from .models import ModelClass, fibers, star_headroom
 from .topology import (
+    DEFAULT_LATTICE_LIMIT,
     BasicOpenI,
     BasicOpenM,
     FinSpace,
     atomic_subbasis,
     basic_open_arrows,
     basic_open_points,
+    bits,
+    closure_lattice,
+    mask,
+    reach,
     symmetric_varray,
 )
 
@@ -115,33 +120,18 @@ class EquivariantSheaf:
         subset = frozenset(subset)
         return self.stabilize(subset) == subset
 
-    def minimal_stable_open(self, pidx):
-        """The least stable open set containing the point."""
-        cur = frozenset([pidx])
-        while True:
-            nxt = self.space.open_hull(self.stabilize(cur))
-            if nxt == cur:
-                return cur
-            cur = nxt
+    def least_stable_opens(self):
+        """The least stable open set around each point, as a set of
+        bitmasks: what a point reaches through minimal neighbourhoods and
+        the action."""
+        push = list(self.space.masks)
+        for (_, p), q in self.act.items():
+            push[p] |= 1 << q
+        return {reach(push, p) for p in range(len(self.points))}
 
-    def stable_opens(self, limit=300_000):
-        """All stable open subsets: the union closure of the minimal ones."""
-        gens = sorted(
-            {self.minimal_stable_open(p) for p in range(len(self.points))},
-            key=lambda s: (len(s), sorted(s)),
-        )
-        seen = {frozenset()}
-        frontier = [frozenset()]
-        while frontier:
-            cur = frontier.pop()
-            for gset in gens:
-                nxt = cur | gset
-                if nxt not in seen:
-                    if len(seen) >= limit:
-                        raise LimitExceeded("stable-open lattice too large", len(seen))
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return sorted(seen, key=lambda s: (len(s), sorted(s)))
+    def stable_opens(self, limit=DEFAULT_LATTICE_LIMIT):
+        """All stable open subsets: the joins of the least ones."""
+        return closure_lattice(self.least_stable_opens(), limit)
 
 
 @dataclass
@@ -258,15 +248,6 @@ def definable_sheaf(mc: ModelClass, f) -> DefinableSheaf:
                 act[(j, n)] = index[(mc.iso_cod[j], iso.apply_tuple(t))]
     sheaf = mc._sheaves[f] = DefinableSheaf(mc, f, g, points, space, r, act)
     return sheaf
-
-
-def act_theta(sheaf: DefinableSheaf, iso_idx, point_idx):
-    """Apply an isomorphism to a point of a definable sheaf."""
-    return sheaf.apply(iso_idx, point_idx)
-
-
-def stabilize(sheaf: EquivariantSheaf, subset):
-    return sheaf.stabilize(subset)
 
 
 def conjunction_with_exists(f, psi_context, psi):
@@ -446,24 +427,17 @@ def moerdijk_sheaf(mc: ModelClass, N) -> MoerdijkSiteObject:
             for h in cl:
                 if g.c[f] == g.c[h] and g.comp[(g.i[h], f)] not in N:
                     raise SiteError("the N-relation is not transitive on a class")
-    dom_arrows = sorted(class_of)
-    dom_set = frozenset(dom_arrows)
-    # quotient topology: iterate saturation against the subspace open hull
-    minimal = []
-    for ci in range(len(classes)):
-        W = {ci}
-        while True:
-            pre = set()
-            for cj in W:
-                pre |= classes[cj]
-            hull = set()
-            for f in pre:
-                hull |= g.arrows.minimal_nbhd(f) & dom_set
-            W2 = {class_of[f] for f in hull}
-            if W2 == W:
-                break
-            W = W2
-        minimal.append(frozenset(W))
+    # quotient topology: the least set of classes around each class that
+    # holds every class its arrows' neighbourhoods meet within d^{-1}(U)
+    push = []
+    for cl in classes:
+        m = 0
+        for f in cl:
+            for h in g.arrows.minimal_nbhd(f):
+                if h in class_of:
+                    m |= 1 << class_of[h]
+        push.append(m)
+    minimal = [frozenset(bits(reach(push, ci))) for ci in range(len(classes))]
     space = FinSpace(len(classes), [(f"q{ci}", m) for ci, m in enumerate(minimal)])
     r = tuple(g.c[min(cl)] for cl in classes)
     # well-definedness of the codomain projection on classes
@@ -485,42 +459,25 @@ def moerdijk_sheaf(mc: ModelClass, N) -> MoerdijkSiteObject:
     return MoerdijkSiteObject(mc, g, N, U, classes, class_of, sheaf, bad)
 
 
-def stable_opens_of_site(site: MoerdijkSiteObject, limit=300_000):
+def stable_open_lattice(g: TopGroupoid, U, N, limit=DEFAULT_LATTICE_LIMIT):
+    """Open subsets of U closed under the arrow set N: the joins of the
+    least such set around each point of U."""
+    push = list(g.objects.masks)
+    for f in N:
+        push[g.d[f]] |= 1 << g.c[f]
+    gens = [reach(push, x) for x in U]
+    outside = ~mask(U)
+    if any(gen & outside for gen in gens):
+        raise SignatureError("stable hull escapes U; N does not restrict to U")
+    return closure_lattice(gens, limit)
+
+
+def stable_opens_of_site(site: MoerdijkSiteObject, limit=DEFAULT_LATTICE_LIMIT):
     """The lattice of open subsets of U closed under N, together with the
     subsheaf constructor V -> classes with domain in V, and the bijection
     check against the stable opens of the induced sheaf."""
     g = site.groupoid
-    N = site.N
-    U = site.U
-
-    def minimal_stable(x):
-        cur = g.objects.minimal_nbhd(x)  # x in U open, so this stays in U
-        while True:
-            sat = set(cur)
-            for f in N:
-                if g.d[f] in sat:
-                    sat.add(g.c[f])
-            hull = set()
-            for y in sat:
-                hull |= g.objects.minimal_nbhd(y)
-            nxt = frozenset(hull)
-            if nxt == cur:
-                return cur
-            cur = nxt
-
-    gens = sorted({minimal_stable(x) for x in U}, key=lambda s: (len(s), sorted(s)))
-    seen = {frozenset()}
-    frontier = [frozenset()]
-    while frontier:
-        cur = frontier.pop()
-        for gset in gens:
-            nxt = cur | gset
-            if nxt not in seen:
-                if len(seen) >= limit:
-                    raise LimitExceeded("stable-open lattice too large", len(seen))
-                seen.add(nxt)
-                frontier.append(nxt)
-    lattice = sorted(seen, key=lambda s: (len(s), sorted(s)))
+    lattice = stable_open_lattice(g, site.U, site.N, limit)
 
     def subsheaf(V):
         return frozenset(ci for ci, cl in enumerate(site.classes) if g.d[min(cl)] in V)

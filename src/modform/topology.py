@@ -11,6 +11,7 @@ generated lazily and only where an operation genuinely enumerates opens.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -19,6 +20,68 @@ from .logic import App, Eq, Rel, TOP, Var, conj, fic
 from .models import IndexedStructure, ModelClass
 
 DEFAULT_LATTICE_LIMIT = 300_000
+
+
+# ---------------------------------------------------------------------------
+# point sets as int bitmasks, and the one lattice enumerator
+
+
+def mask(points):
+    """The bitmask of a set of point indices."""
+    out = 0
+    for p in points:
+        out |= 1 << p
+    return out
+
+
+def bits(m):
+    """The points of a bitmask, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def reach(push, x):
+    """The least bitmask holding point `x` and `push[y]` for each of its
+    points `y`."""
+    out = todo = 1 << x
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = push[low.bit_length() - 1] & ~out
+        out |= new
+        todo |= new
+    return out
+
+
+def closure_lattice(gens, limit, join=None):
+    """Every join of the bitmasks `gens`, the empty join included, as
+    frozensets sorted by (size, sorted points).
+
+    A depth-first search from the empty set joins each found set with every
+    generator not already inside it.  `join(cur, gen)` defaults to union;
+    a caller whose joins must be closed again passes its own.  Raises
+    LimitExceeded when a join would find a set beyond the first `limit`
+    (the empty set counts).
+    """
+    gens = sorted(set(gens), key=lambda m: (m.bit_count(), bits(m)))
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        cur = frontier.pop()
+        for gen in gens:
+            if not gen & ~cur:
+                continue
+            nxt = cur | gen if join is None else join(cur, gen)
+            if nxt not in seen:
+                if len(seen) >= limit:
+                    raise LimitExceeded("lattice too large", len(seen))
+                seen.add(nxt)
+                frontier.append(nxt)
+    return [frozenset(b) for b in sorted(map(bits, seen), key=lambda b: (len(b), b))]
 
 
 class FinSpace:
@@ -45,6 +108,11 @@ class FinSpace:
     def points(self):
         return range(self.size)
 
+    @functools.cached_property
+    def masks(self):
+        """The minimal neighborhoods as bitmasks."""
+        return [mask(m) for m in self.minimal]
+
     def minimal_nbhd(self, x):
         return self.minimal[x]
 
@@ -66,22 +134,12 @@ class FinSpace:
     def opens(self, limit=DEFAULT_LATTICE_LIMIT):
         """Every open set: the union closure of the minimal basis.
 
-        Returned sorted by (size, sorted points); cached.
+        Returned sorted by (size, sorted points); cached.  A cached lattice
+        larger than `limit` is built again, so the call raises as a fresh
+        one would.
         """
-        if self._opens is None:
-            seen = {frozenset()}
-            frontier = [frozenset()]
-            gens = sorted(set(self.minimal), key=lambda s: (len(s), sorted(s)))
-            while frontier:
-                cur = frontier.pop()
-                for g in gens:
-                    nxt = cur | g
-                    if nxt not in seen:
-                        if len(seen) >= limit:
-                            raise LimitExceeded("open lattice too large", len(seen))
-                        seen.add(nxt)
-                        frontier.append(nxt)
-            self._opens = sorted(seen, key=lambda s: (len(s), sorted(s)))
+        if self._opens is None or len(self._opens) > limit:
+            self._opens = closure_lattice(self.masks, limit)
         return self._opens
 
     def same_topology(self, other):
@@ -109,13 +167,6 @@ def discrete_space(size):
 
 def indiscrete_space(size):
     return FinSpace(size, [])
-
-
-def generate_opens(space, limit=DEFAULT_LATTICE_LIMIT):
-    """The open-set lattice of a FinSpace (all unions of finite
-    intersections of subbasic sets, with the empty intersection giving the
-    whole space)."""
-    return space.opens(limit)
 
 
 # ---------------------------------------------------------------------------

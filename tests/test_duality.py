@@ -1,6 +1,8 @@
 """The Mod and Form functors, counit and unit, triangle identities, the
 semantic-groupoid characterization, and the coherent conditions."""
 
+import pytest
+
 from modform.duality import (
     GroupoidOverS,
     check_counit_naturality,
@@ -22,6 +24,7 @@ from modform.duality import (
     u_power,
     unit,
 )
+from modform.errors import InvariantError
 from modform.groupoid import TopGroupoid
 from modform.logic import (
     EQUALITY_THEORY,
@@ -110,6 +113,7 @@ def test_u_power_invariants():
     for k in range(3):
         sheaf = u_power(gos, k)
         assert sheaf.check_invariants() == []
+        assert u_power(gos, k) is sheaf is gos.powers[k]
 
 
 def test_pullback_sheaf_identity():
@@ -152,6 +156,16 @@ def test_form_functor_counts_match_syntactic_category():
     assert len(rc.arrows[(0, 1)]) == 2
     assert len(rc.arrows[(1, 0)]) == 5
     assert len(rc.arrows[(1, 1)]) == 3
+
+
+def test_form_functor_positions():
+    gos = mod_functor(EQUALITY_THEORY, S2)
+    rc = form_functor(gos, 1)
+    for k, level in rc.levels.items():
+        assert [rc.position(k, V, "V") for V in level] == list(range(len(level)))
+    # a point set that is no stable open: the theorem callers rely on fails
+    with pytest.raises(InvariantError):
+        rc.position(1, frozenset({0}), "a single point")
 
 
 def test_form_functor_identities_and_composition():

@@ -1,0 +1,46 @@
+"""Byte-for-byte golden outputs of the CLI.
+
+Each case pins the SHA-256 of `main([..., "--format", "json"])` output, so
+a refactor that changes any reported number, set or order fails here.  The
+digests are the same under every PYTHONHASHSEED (checked with 1, 2 and 3);
+the output does not depend on the theory file's name."""
+
+import hashlib
+
+import pytest
+
+from modform.cli import main
+
+THEORIES = {
+    "T_eq": "",
+    "P1": "rel P/1\n",
+    "symE": "rel E/2\naxiom E(x,y) |- [x,y] E(y,x)\n",
+}
+
+CASES = [
+    ("T_eq", ["report", "--index-size", "2"], 2,
+     "a890ed1208c9e687591f8db7aaff7a65f771b6c903d61b415c56302f1faeea1b"),
+    ("symE", ["topology", "--index-size", "2"], 0,
+     "537654699af4993c52d648229d0986d1a1a6c108b7f78129b61be4421752c260"),
+    ("symE", ["check", "basis", "--index-size", "2"], 0,
+     "384e9b44a662b33d60ae6c36799fcf5779a729b94128e4e9316f58f1fe7e68da"),
+    ("symE", ["check", "coherent", "--index-size", "2"], 0,
+     "01778be961fa811967132e24a534e119bbe2f84d3ef0ff92049b48e0420a6429"),
+    ("symE", ["sheaf", "[x] x = x", "--index-size", "2"], 0,
+     "b078d41f5622d8545c485ae0e65476f71974ae427c85e99239cfea46631b0149"),
+    ("P1", ["dualize", "--index-size", "2"], 0,
+     "1428274ed96dc23a9b7690e98a0a60d897e62326e2679b34b465e10ed837a32e"),
+    ("T_eq", ["check", "sem", "--index-size", "3"], 0,
+     "08fa1c89a4a47eff64ce98fa0268baa1203cd67e3b0da893f2ffee52ad21fadd"),
+]
+
+
+@pytest.mark.parametrize(
+    "theory,argv,code,digest", CASES, ids=[" ".join([t] + a) for t, a, _, _ in CASES]
+)
+def test_json_output_digest(theory, argv, code, digest, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{theory}.thy").write_text(THEORIES[theory])
+    assert main(argv + [f"{theory}.thy", "--format", "json"]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -9,7 +9,6 @@ from modform.logic import BOT, EQUALITY_THEORY, Eq, Exists, Rel, TOP, Var, fic
 from modform.models import IndexSet, IndexedStructure, model_class
 from modform.parser import parse_theory
 from modform.sheaves import (
-    act_theta,
     definable_morphism,
     definable_morphism_preimage_identity,
     definable_sheaf,
@@ -19,7 +18,6 @@ from modform.sheaves import (
     moerdijk_sheaf,
     projection_image_identity,
     rewrite_symmetric,
-    stabilize,
     stable_opens_of_site,
 )
 from modform.topology import (
@@ -71,7 +69,7 @@ def test_theta_unit():
     sh = definable_sheaf(mc, fic(["x"], TOP))
     for p in range(len(sh.points)):
         e = mc.identity_of[sh.r[p]]
-        assert act_theta(sh, e, p) == p
+        assert sh.apply(e, p) == p
 
 
 def test_theta_swap():
@@ -84,7 +82,7 @@ def test_theta_swap():
         if mc.iso_dom[j] == m01 and mc.iso_cod[j] == m01 and mc.isos[j].mapping == {0: 1, 1: 0}
     )
     p = sh.point_index[(m01, (0,))]
-    assert sh.points[act_theta(sh, swap, p)] == (m01, (1,))
+    assert sh.points[sh.apply(swap, p)] == (m01, (1,))
 
 
 def test_theta_into_glued_model():
@@ -96,7 +94,7 @@ def test_theta_into_glued_model():
         j for j in range(len(mc.isos)) if mc.iso_dom[j] == m0 and mc.iso_cod[j] == m01glue
     )
     p = sh.point_index[(m0, (0,))]
-    assert sh.points[act_theta(sh, j, p)] == (m01glue, (0,))
+    assert sh.points[sh.apply(j, p)] == (m01glue, (0,))
 
 
 def test_theta_fiber_mismatch():
@@ -106,13 +104,13 @@ def test_theta_fiber_mismatch():
     wrong = next(j for j in range(len(mc.isos)) if mc.iso_dom[j] != m0)
     p = sh.point_index[(m0, (0,))]
     with pytest.raises(SignatureError):
-        act_theta(sh, wrong, p)
+        sh.apply(wrong, p)
 
 
 def test_stabilize_empty_and_idempotent():
     mc = mc_eq2()
     sh = definable_sheaf(mc, fic(["x"], TOP))
-    assert stabilize(sh, set()) == frozenset()
+    assert sh.stabilize(set()) == frozenset()
     s = sh.stabilize({0})
     assert sh.stabilize(s) == s
 
@@ -123,7 +121,7 @@ def test_stabilize_section_image_is_whole_definable():
     mc = mc_eq2()
     sh = definable_sheaf(mc, fic(["x"], TOP))
     s0 = sh.section_image((0,))
-    got = stabilize(sh, s0)
+    got = sh.stabilize(s0)
     assert got == frozenset(range(len(sh.points)))
     closed = fic(["x"], Exists("y", Eq(Var("x"), Var("y"))))
     target = frozenset(

@@ -15,7 +15,6 @@ from modform.topology import (
     cp_filters,
     discrete_space,
     filter_to_model,
-    generate_opens,
     horn_diagram,
     indiscrete_space,
     minimal_varray,
@@ -58,17 +57,17 @@ def test_basic_open_trivial_is_everything():
 
 def test_generate_opens_empty_subbasis():
     space = FinSpace(2, [("z", frozenset())])
-    assert set(generate_opens(space)) == {frozenset(), frozenset({0, 1})}
+    assert set(space.opens()) == {frozenset(), frozenset({0, 1})}
 
 
 def test_generate_opens_discrete():
-    assert len(generate_opens(discrete_space(2))) == 4
+    assert len(discrete_space(2).opens()) == 4
 
 
 def test_logical_lattice_of_equality_theory():
     mc = mc_eq2()
     space = model_space(mc)
-    opens = generate_opens(space)
+    opens = space.opens()
     assert len(opens) == 7
     singleton = frozenset({model_idx(mc, [0, 1], [(0, 1)])})
     assert singleton in opens  # <x=y,0,1> is open
@@ -78,6 +77,17 @@ def test_open_lattice_limit():
     space = discrete_space(12)
     with pytest.raises(LimitExceeded):
         space.opens(limit=100)
+
+
+def test_cached_open_lattice_honours_limit():
+    space = discrete_space(3)
+    assert len(space.opens()) == 8
+    with pytest.raises(LimitExceeded) as cached:
+        space.opens(limit=4)
+    with pytest.raises(LimitExceeded) as fresh:
+        discrete_space(3).opens(limit=4)
+    assert cached.value.estimate == fresh.value.estimate == 4
+    assert len(space.opens(limit=8)) == 8
 
 
 def test_interior_hull_membership():
