@@ -11,6 +11,7 @@ from modform import (
     BasicOpenM,
     IndexSet,
     build_model_groupoid,
+    certificate_open,
     fic,
     minimal_varray,
     model_class,
@@ -39,8 +40,8 @@ print("== openness of the domain map ==")
 v = BasicOpenI(trivial_open_m(), ((0, 1),), trivial_open_m())
 res = open_image_d(mc, v)
 print(f"d{v} = {sorted(res['image'])}  [{res['status']}]")
-for bop in res["certificate"][:3]:
-    print("  certificate open:", bop)
+for ks, pts in res["certificate"][:3]:
+    print("  certificate open:", certificate_open(v, ks), sorted(pts))
 
 print()
 print("== a headroom gate ==")

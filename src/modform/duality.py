@@ -424,7 +424,7 @@ def counit(theory, S, k_max, depth, limit=None):
             arrow_counts[(j, k)] = (len(tc_arrows), len(rc_arrows))
             extra = tc_arrows - rc_arrows
             if extra:
-                raise SignatureError("a definable functional relation is not a stable-open graph")
+                raise InvariantError("a definable functional relation is not a stable-open graph")
             missed = rc_arrows - tc_arrows
             unmatched_arrows[(j, k)] = sorted(
                 (si, di, tuple(sorted(gr))) for si, di, gr in missed

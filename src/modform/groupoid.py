@@ -19,6 +19,7 @@ from .topology import (
     BasicOpenM,
     FinSpace,
     arrow_space,
+    arrows_between,
     atomic_subbasis,
     basic_open_arrows,
     basic_open_points,
@@ -265,6 +266,29 @@ def structure_map_preimages(mc: ModelClass, a, b):
 # openness of the domain map, with certificates
 
 
+def _normalize_pairs(pairs):
+    """Duplicate-free preservation pairs, with the equations they force.
+
+    An arrow is single-valued on blocks, so two targets of one source name
+    one codomain block; it is injective on blocks, so two sources of one
+    target name one domain block.  Returns the pairs, the domain equations
+    and the codomain equations, each equation an index pair.
+    """
+    target_of = {}  # source -> its first target
+    cod_extra = []
+    for b, c in pairs:
+        first = target_of.setdefault(b, c)
+        if first != c:
+            cod_extra.append((first, c))
+    source_of = {}  # target -> its first source
+    dom_extra = []
+    for b, c in target_of.items():
+        first = source_of.setdefault(c, b)
+        if first != b:
+            dom_extra.append((first, b))
+    return tuple((b, c) for c, b in source_of.items()), dom_extra, cod_extra
+
+
 def _merge_duplicate_entries(formula_in_context, params):
     """Collapse repeated parameter entries by equating context variables."""
     f = formula_in_context
@@ -294,36 +318,12 @@ def _merge_duplicate_entries(formula_in_context, params):
 def _normalize_v_array(v: BasicOpenI):
     """Rewrite to distinct codomain parameters and duplicate-free
     preservation sources and targets, preserving the arrow set."""
-    dom_f, dom_p = v.dom.formula, list(v.dom.params)
-    cod_f, cod_p = v.cod.formula, list(v.cod.params)
-    pairs = list(v.pairs)
-    dom_extra = []  # equations to conjoin onto the domain condition
-    cod_extra = []
-
-    # duplicate sources: f([b]) single-valued, so equate the targets
-    out = []
-    for bsrc, ctgt in pairs:
-        hit = next((p for p in out if p[0] == bsrc), None)
-        if hit is None:
-            out.append((bsrc, ctgt))
-        elif hit[1] != ctgt:
-            cod_extra.append((hit[1], ctgt))
-    pairs = out
-    # duplicate targets: f injective on blocks, so equate the sources
-    out = []
-    for bsrc, ctgt in pairs:
-        hit = next((p for p in out if p[1] == ctgt), None)
-        if hit is None:
-            out.append((bsrc, ctgt))
-        elif hit[0] != bsrc:
-            dom_extra.append((hit[0], bsrc))
-    pairs = out
+    pairs, dom_extra, cod_extra = _normalize_pairs(v.pairs)
 
     def extend(formula, params, extra):
         ctx = list(formula.context)
-        phi = formula.formula
         params = list(params)
-        parts = [phi]
+        parts = [formula.formula]
         for p, q in extra:
             u, w = f"x{len(ctx)}", f"x{len(ctx) + 1}"
             ctx += [u, w]
@@ -331,99 +331,127 @@ def _normalize_v_array(v: BasicOpenI):
             parts.append(Eq(Var(u), Var(w)))
         return fic(ctx, conj(parts)), tuple(params)
 
-    dom_fc, dom_params = extend(dom_f, dom_p, dom_extra)
-    cod_fc, cod_params = extend(cod_f, cod_p, cod_extra)
+    dom_fc, dom_params = extend(v.dom.formula, v.dom.params, dom_extra)
+    cod_fc, cod_params = extend(v.cod.formula, v.cod.params, cod_extra)
     cod_fc, cod_params = _merge_duplicate_entries(cod_fc, cod_params)
-    return BasicOpenI(
-        BasicOpenM(dom_fc, dom_params), tuple(pairs), BasicOpenM(cod_fc, cod_params)
-    )
+    return BasicOpenI(BasicOpenM(dom_fc, dom_params), pairs, BasicOpenM(cod_fc, cod_params))
+
+
+def certificate_open(v: BasicOpenI, ks):
+    """The basic open that open_image_d's certificate entry for the
+    codomain choice `ks` stands for: the normalized domain and codomain
+    formulas of `v` conjoined on disjoint variable blocks, at the domain
+    parameters, `ks` and the preservation sources.
+
+    For display and tests; open_image_d never builds it.
+    """
+    norm = _normalize_v_array(v)
+    dom_fc, cod_fc = norm.dom.formula, norm.cod.formula
+    p, q, r = len(dom_fc), len(cod_fc), len(norm.pairs)
+    ctx = [f"x{i}" for i in range(p + q + r)]
+    phi = substitute(dom_fc.formula, {w: Var(ctx[i]) for i, w in enumerate(dom_fc.context)})
+    psi = substitute(cod_fc.formula, {w: Var(ctx[p + i]) for i, w in enumerate(cod_fc.context)})
+    params = tuple(norm.dom.params) + tuple(ks) + tuple(b for b, _ in norm.pairs)
+    return BasicOpenM(fic(ctx, conj([phi, psi])), params)
+
+
+def _equated_points(mc: ModelClass, formula, params, equations):
+    """The points of <formula, params> in which each index pair of
+    `equations` names one block: the basic open of the formula conjoined
+    with an equation on fresh variables per pair."""
+    out = basic_open_points(mc, BasicOpenM(formula, tuple(params)))
+    for p, q in equations:
+        out = out & mc.equal(p, q)
+    return out
 
 
 def open_image_d(mc: ModelClass, v: BasicOpenI):
     """The image of a basic open arrow set under the domain map, with a
-    certificate: a list of basic opens of the model space whose union is
-    the image.
+    certificate: basic opens of the model space whose union is the image.
 
-    The certificate follows the openness proof: merge the domain and
-    codomain formulas, pick for every codomain parameter a preimage index
-    (smallest available, forced to the preservation source when the
-    parameter is a preservation target), and record the combined basic
-    open.  Instances whose star-construction lacks index headroom are
-    reported as gated rather than failed.
+    The certificate follows the openness proof: normalize the preservation
+    pairs, pick for every distinct codomain parameter a preimage index
+    under each arrow (smallest available, forced to the preservation source
+    when the parameter is a preservation target), and record one basic open
+    per distinct choice `ks`: the domain and codomain conditions merged on
+    disjoint variable blocks, at the domain parameters, `ks` and the
+    preservation sources.  Such a conjunction holds where each conjunct
+    does, so an open's points are an intersection of memoized point sets
+    (the domain open, the codomain open at `ks` read through the
+    deduplication of its parameters, the equality opens the normalization
+    forces, and the definedness opens of the sources); no formula is built
+    or evaluated.  Certificate entries are (ks, points) pairs, and
+    certificate_open renders an entry's open on request.
+
+    Instances whose star construction lacks index headroom are reported
+    as gated rather than failed; gates and failures are (model index, ks)
+    pairs.
     """
-    norm = _normalize_v_array(v)
-    arrows = basic_open_arrows(mc, norm)
-    if arrows != basic_open_arrows(mc, v):
-        raise SignatureError("normalization changed the arrow set")  # internal guard
+    pairs, dom_extra, cod_extra = _normalize_pairs(v.pairs)
+    cod_params = tuple(v.cod.params) + tuple(x for eq in cod_extra for x in eq)
+    e_params = tuple(dict.fromkeys(cod_params))  # first occurrences, in order
+    slot = {e: i for i, e in enumerate(e_params)}
+
+    def cod_points(ks):
+        at = lambda e: ks[slot[e]]
+        equations = [(at(x), at(y)) for x, y in cod_extra]
+        return _equated_points(mc, v.cod.formula, map(at, v.cod.params), equations)
+
+    dom_points = _equated_points(mc, v.dom.formula, v.dom.params, dom_extra)
+    arrows = basic_open_arrows(mc, v)
+    if arrows_between(mc, dom_points, pairs, cod_points(e_params)) != arrows:
+        raise InvariantError("normalization changed the arrow set")
     d_image = frozenset(mc.iso_dom[j] for j in arrows)
 
-    dom_fc, a_params = norm.dom.formula, norm.dom.params
-    cod_fc, e_params = norm.cod.formula, norm.cod.params
-    pairs = norm.pairs
-    p, q, r = len(a_params), len(e_params), len(pairs)
-    ctx = [f"x{i}" for i in range(p + q + r)]
-    phi = substitute(dom_fc.formula, {w: Var(ctx[i]) for i, w in enumerate(dom_fc.context)})
-    psi = substitute(cod_fc.formula, {w: Var(ctx[p + i]) for i, w in enumerate(cod_fc.context)})
-    merged = conj([phi, psi])
-
-    target_of = {}  # forced star targets: source index -> target index
-    for bsrc, ctgt in pairs:
-        target_of[bsrc] = ctgt
-
-    certificate = []
-    seen_opens = set()
+    sources = tuple(b for b, _ in pairs)
+    forced = {c: b for b, c in pairs}  # preservation target -> its source
+    base = dom_points
+    for b in sources:
+        base = base & mc.equal(b, b)
+    chosen = {}  # ks -> points, in order of first choice
     for j in sorted(arrows):
         f = mc.isos[j]
         M, N = f.dom, f.cod
         inv = {w: k for k, w in f.mapping.items()}
         ks = []
-        for pos, ej in enumerate(e_params):
-            forced = next((bsrc for bsrc, ctgt in pairs if ctgt == ej), None)
-            if forced is not None:
-                ks.append(forced)
+        for e in e_params:
+            if e in forced:
+                ks.append(forced[e])
                 continue
-            pre_key = inv[N.block_key(ej)]
+            pre_key = inv[N.block_key(e)]
             block = next(blk for blk in M.blocks if blk[0] == pre_key)
-            taken = {b for b, _ in pairs} | set(ks)
-            choice = next((x for x in block if x not in taken), block[0])
-            ks.append(choice)
-        all_params = tuple(a_params) + tuple(ks) + tuple(b for b, _ in pairs)
-        bop = BasicOpenM(fic(ctx, merged), all_params)
-        key = (bop.formula, bop.params)
-        if key not in seen_opens:
-            seen_opens.add(key)
-            certificate.append((bop, tuple(ks)))
+            taken = set(sources) | set(ks)
+            ks.append(next((x for x in block if x not in taken), block[0]))
+        ks = tuple(ks)
+        if ks not in chosen:
+            chosen[ks] = base & cod_points(ks)
+    certificate = list(chosen.items())
 
-    union = frozenset()
-    for bop, _ in certificate:
-        union |= basic_open_points(mc, bop)
+    union = frozenset().union(*chosen.values())
     if not d_image <= union:
         raise InvariantError("domain image is not covered by its certificate")
 
     gates = []
     failures = []
     if union != d_image:
-        for bop, ks in certificate:
-            for K_idx in sorted(basic_open_points(mc, bop) - d_image):
-                K = mc.models[K_idx]
-                sources = tuple(ks) + tuple(b for b, _ in pairs)
-                targets = tuple(e_params) + tuple(c for _, c in pairs)
-                dedup = {}
-                consistent = True
-                for s, t in zip(sources, targets):
-                    if dedup.get(t, s) != s:
-                        consistent = False
-                    dedup[t] = s
-                srcs = tuple(dedup[t] for t in dedup)
-                tgts = tuple(dedup)
-                if consistent and star_headroom(K, srcs, tgts, mc.S):
-                    failures.append((K_idx, bop))
+        targets = e_params + tuple(c for _, c in pairs)
+        for ks, pts in certificate:
+            dedup = {}
+            consistent = True
+            for s, t in zip(ks + sources, targets):
+                if dedup.get(t, s) != s:
+                    consistent = False
+                dedup[t] = s
+            srcs, tgts = tuple(dedup.values()), tuple(dedup)
+            for K_idx in sorted(pts - d_image):
+                if consistent and star_headroom(mc.models[K_idx], srcs, tgts, mc.S):
+                    failures.append((K_idx, ks))
                 else:
-                    gates.append((K_idx, bop))
+                    gates.append((K_idx, ks))
     status = "failed" if failures else ("gated" if gates else "verified")
     return {
         "image": d_image,
-        "certificate": [bop for bop, _ in certificate],
+        "certificate": certificate,
         "union": union,
         "status": status,
         "gates": gates,

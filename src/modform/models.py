@@ -382,6 +382,8 @@ class ModelClass:
       different extensions are one object (``ext``).
     - ``_preserving``: index pair (a, b) -> the arrows of the preservation
       set <a->b> (``preserving``).
+    - ``_equal``: index pair (a, b) -> the models in which a and b name one
+      block (``equal``).
     - ``_points``: formula -> parameter tuple -> the model indices of the
       basic open <formula, params> (``topology.basic_open_points``).  Two
       levels, so each formula tree is held once however many tuples it
@@ -420,6 +422,7 @@ class ModelClass:
         self._ext_cache = {}
         self._tuples = {}
         self._preserving = {}
+        self._equal = {}
         self._points = {}
         self._atomic = None
         self._sheaves = {}
@@ -457,6 +460,20 @@ class ModelClass:
                 if f.dom.has(a) and f.cod.has(b) and f.apply(f.dom.block_key(a)) == f.cod.block_key(b)
             )
             self._preserving[(a, b)] = hit
+        return hit
+
+    def equal(self, a, b):
+        """The models in which a and b are defined and name one block: the
+        point set of the basic open <[x0, x1 | x0 = x1], (a, b)>.  equal(a, a)
+        is the definedness open of a."""
+        hit = self._equal.get((a, b))
+        if hit is None:
+            hit = frozenset(
+                i
+                for i, M in enumerate(self.models)
+                if M.has(a) and M.has(b) and M.block_key(a) == M.block_key(b)
+            )
+            self._equal[(a, b)] = hit
         return hit
 
     def entails(self, seq: Sequent):

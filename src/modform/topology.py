@@ -206,10 +206,6 @@ class BasicOpenI:
         return f"({self.dom} / {pairs} / {self.cod})"
 
 
-def trivial_open_i():
-    return BasicOpenI(trivial_open_m(), (), trivial_open_m())
-
-
 def basic_open_points(mc: ModelClass, b: BasicOpenM):
     """Models in which the parameters are defined and satisfy the formula.
 
@@ -231,21 +227,23 @@ def basic_open_points(mc: ModelClass, b: BasicOpenM):
 
 
 def basic_open_arrows(mc: ModelClass, v: BasicOpenI):
-    """Arrows satisfying the domain, preservation and codomain conditions:
-    the arrows between the two basic opens of models, intersected with the
-    class's preservation set <a->b> of each pair."""
-    dom_set = basic_open_points(mc, v.dom)
-    cod_set = basic_open_points(mc, v.cod)
+    """Arrows satisfying the domain, preservation and codomain conditions."""
+    return arrows_between(
+        mc, basic_open_points(mc, v.dom), v.pairs, basic_open_points(mc, v.cod)
+    )
+
+
+def arrows_between(mc: ModelClass, dom_set, pairs, cod_set):
+    """Arrows from a model in dom_set to a model in cod_set: the class's
+    preservation sets <a->b> of the pairs, intersected and filtered by
+    their endpoints."""
     arrows = range(len(mc.isos))
-    if v.pairs:
+    if pairs:
         # ascending, as the scan this replaced added them: insertion order
         # fixes the iteration order of the result
-        arrows = sorted(frozenset.intersection(*(mc.preserving(a, b) for a, b in v.pairs)))
-    out = set()
-    for j in arrows:
-        if mc.iso_dom[j] in dom_set and mc.iso_cod[j] in cod_set:
-            out.add(j)
-    return frozenset(out)
+        arrows = sorted(frozenset.intersection(*[mc.preserving(a, b) for a, b in pairs]))
+    iso_dom, iso_cod = mc.iso_dom, mc.iso_cod
+    return frozenset({j for j in arrows if iso_dom[j] in dom_set and iso_cod[j] in cod_set})
 
 
 # ---------------------------------------------------------------------------

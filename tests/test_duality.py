@@ -3,6 +3,7 @@ semantic-groupoid characterization, and the coherent conditions."""
 
 import pytest
 
+from modform import duality
 from modform.duality import (
     GroupoidOverS,
     check_counit_naturality,
@@ -200,6 +201,21 @@ def test_counit_equality_theory():
     assert res["object_counts"] == {0: (3, 3), 1: (2, 2)}
     assert res["arrow_counts"][(0, 0)] == (6, 6)
     assert res["arrow_counts"][(1, 1)] == (3, 3)
+
+
+def test_counit_non_graph_is_an_invariant_error(monkeypatch):
+    # every definable functional relation is a stable-open graph, so a
+    # relation category missing its graphs is a checker bug, not bad input
+    real = duality.form_functor
+
+    def without_graphs(gos, k_max):
+        rc = real(gos, k_max)
+        rc.arrows = {key: [] for key in rc.arrows}
+        return rc
+
+    monkeypatch.setattr(duality, "form_functor", without_graphs)
+    with pytest.raises(InvariantError, match="not a stable-open graph"):
+        counit(EQUALITY_THEORY, S2, 1, 3)
 
 
 def test_counit_bot_goes_to_empty():

@@ -32,6 +32,10 @@ CASES = [
      "1428274ed96dc23a9b7690e98a0a60d897e62326e2679b34b465e10ed837a32e"),
     ("T_eq", ["check", "sem", "--index-size", "3"], 0,
      "08fa1c89a4a47eff64ce98fa0268baa1203cd67e3b0da893f2ffee52ad21fadd"),
+    ("symE", ["groupoid", "--index-size", "2", "--depth", "1"], 2,
+     "23f21496f9ecc7074f02ec2d0926d5db371799e9782bd1ee8776badafd0980af"),
+    ("P1", ["check", "openness", "--index-size", "2", "--depth", "1"], 2,
+     "98f0a061e1d3cfc46a6cf77d7102fcf4e48da2340fa99abbf9e424698e440a42"),
 ]
 
 

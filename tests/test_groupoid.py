@@ -9,6 +9,7 @@ from modform.groupoid import (
     TopGroupoid,
     build_model_groupoid,
     build_S_groupoid,
+    certificate_open,
     identity_morphism,
     mod_on_interpretation,
     open_image_d,
@@ -223,8 +224,9 @@ def test_certificate_union_equals_image():
     res = open_image_d(mc, v)
     assert res["status"] == "verified"
     union = frozenset()
-    for bop in res["certificate"]:
-        union |= basic_open_points(mc, bop)
+    for ks, pts in res["certificate"]:
+        assert basic_open_points(mc, certificate_open(v, ks)) == pts
+        union |= pts
     assert union == res["image"]
 
 

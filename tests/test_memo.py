@@ -205,6 +205,19 @@ def test_definable_sheaf_matches_reference(name, n):
         assert definable_sheaf(mc, f) is sheaf
 
 
+@pytest.mark.parametrize("name,n", CASES)
+def test_equality_opens_match_reference(name, n):
+    mc = _class(name, n)
+    eq = fic(["x0", "x1"], Eq(Var("x0"), Var("x1")))
+    defined = fic(["x0"], TOP)
+    for a in mc.S.elements():
+        assert mc.equal(a, a) == reference_points(mc, BasicOpenM(defined, (a,)))
+        for b in mc.S.elements():
+            got = mc.equal(a, b)
+            assert got == reference_points(mc, BasicOpenM(eq, (a, b)))
+            assert mc.equal(a, b) is got
+
+
 def test_equal_formulas_share_one_memo_entry():
     mc = model_class(SYM_E, IndexSet(2))
     f1 = fic(["x", "y"], Rel("E", (Var("x"), Var("y"))))

@@ -6,6 +6,7 @@ permutation filter, none of which share code with the module under test.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -21,14 +22,18 @@ from modform.logic import (
     Interpretation,
     Or,
     Rel,
+    Signature,
     TOP,
+    Theory,
     Var,
+    conj,
     fic,
     sequent,
 )
 from modform.models import (
     IndexSet,
     IndexedStructure,
+    _search_models,
     build_model_class,
     enumerate_isomorphisms,
     enumerate_structures,
@@ -310,6 +315,48 @@ def test_pruned_search_equals_naive_filter():
     mc = build_model_class(t, IndexSet(2))
     naive = [M for M in enumerate_structures(t.signature, IndexSet(2)) if is_model(M, t)]
     assert [M._key for M in mc.models] == [M._key for M in naive]
+
+
+def random_theory(rng):
+    """Up to three relations of arity <= 2 and a few random Horn or
+    existential axioms, sometimes with a defining axiom pair or one half of
+    it, so the search's definition shortcut is exercised too."""
+    rels = [(f"R{i}", rng.randint(0, 2)) for i in range(rng.randint(1, 3))]
+
+    def atom(ctx):
+        if rng.random() < 0.2:
+            return Eq(Var(rng.choice(ctx)), Var(rng.choice(ctx)))
+        name, arity = rng.choice(rels)
+        return Rel(name, tuple(Var(rng.choice(ctx)) for _ in range(arity)))
+
+    axioms = []
+    for _ in range(rng.randint(1, 3)):
+        ctx = ["x", "y"][: rng.randint(1, 2)]
+        lhs = conj([atom(ctx) for _ in range(rng.randint(1, 2))])
+        if rng.random() < 0.5:
+            rhs = atom(ctx)
+        else:
+            rhs = Exists("z", atom(ctx + ["z"]))
+        axioms.append(sequent(ctx, lhs, rhs))
+    (last, arity), first = rels[-1], rels[0][0]
+    if len(rels) > 1 and arity > 0 and rng.random() < 0.6:
+        # a defining pair, or only one half of it, which defines nothing
+        ctx = [f"x{i}" for i in range(arity)]
+        head = Rel(last, tuple(Var(v) for v in ctx))
+        body = Rel(first, tuple(Var(rng.choice(ctx)) for _ in range(rels[0][1])))
+        pair = [sequent(ctx, head, body), sequent(ctx, body, head)]
+        axioms += rng.sample(pair, rng.randint(1, 2))
+    return Theory(Signature.make(rels=tuple(rels)), tuple(axioms))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pruned_search_equals_naive_filter_on_random_theories(seed):
+    t = random_theory(random.Random(seed))
+    for n in (1, 2):
+        S = IndexSet(n)
+        pruned = list(_search_models(t, S, None, [0]))
+        naive = [M for M in enumerate_structures(t.signature, S) if is_model(M, t)]
+        assert [M._key for M in pruned] == [M._key for M in naive], (seed, n)
 
 
 def test_axioms_are_entailed():
