@@ -151,15 +151,12 @@ def check_openness(mc: ModelClass, depth=2, ctx_max=2):
     verified = 0
     gated = []
     failures = []
-    seen_instances = set()
+    # doms holds distinct opens and pair_sets distinct pair sets, so every
+    # instance is visited once.
     for dom in doms:
         for cod in doms:
             for pairs in pair_sets:
                 v = BasicOpenI(dom, pairs, cod)
-                key = (basic_open_arrows(mc, v), dom.formula, dom.params, cod.formula, cod.params, pairs)
-                if key in seen_instances:
-                    continue
-                seen_instances.add(key)
                 res = open_image_d(mc, v)
                 if res["status"] == "verified":
                     verified += 1

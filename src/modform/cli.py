@@ -2,9 +2,9 @@
 
 Subcommands: models, topology, groupoid, sheaf, site, dualize, check,
 report.  Exit codes: 0 all passed, 1 a check failed, 2 only
-headroom-gated or inconclusive results, 3 I/O error, 4 parse error,
-5 limit exceeded.  Identical configuration and input produce
-byte-identical reports.
+headroom-gated or inconclusive results, 3 I/O or usage error, 4 parse
+error, 5 limit exceeded.  Identical configuration and input produce
+byte-identical reports.  Each command computes each suite at most once.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from functools import cached_property
 
 from . import checks as C
 from .duality import (
@@ -36,62 +36,6 @@ EXIT_PASS, EXIT_FAIL, EXIT_GATED = 0, 1, 2
 EXIT_IO, EXIT_PARSE, EXIT_LIMIT = 3, 4, 5
 
 
-@dataclass
-class RunConfig:
-    """All run parameters with their documented defaults."""
-
-    index_size: int = 2
-    kmax: int = 1
-    depth: int = 3
-    limit: int = 200_000  # model-search node budget
-    nlimit: int = 10_000  # closed-arrow-set enumeration budget
-    format: str = "text"
-    suite: str = "all"
-
-    def __post_init__(self):
-        for field in ("index_size", "kmax", "depth", "limit", "nlimit"):
-            if getattr(self, field) < (1 if field == "index_size" else 0):
-                raise ModformError(f"{field} must be positive")
-
-    def as_dict(self):
-        return {
-            "index_size": self.index_size,
-            "kmax": self.kmax,
-            "depth": self.depth,
-            "limit": self.limit,
-            "nlimit": self.nlimit,
-        }
-
-
-def _config(config):
-    if isinstance(config, RunConfig):
-        return config.as_dict()
-    return dict(config)
-
-SUITES = (
-    "axioms",
-    "preimages",
-    "sobriety",
-    "star",
-    "openness",
-    "stabilization",
-    "guns",
-    "density",
-    "subobjects",
-    "basis",
-    "fullness",
-    "conservativity",
-    "isoinv",
-    "pullback",
-    "counit",
-    "unit",
-    "triangles",
-    "sem",
-    "coherent",
-    "reconstruction",
-)
-
-
 def _jsonable(x):
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
@@ -104,88 +48,137 @@ def _jsonable(x):
     return str(x)
 
 
-def _run_suite(name, theory, cfg):
-    S = IndexSet(cfg["index_size"])
-    mc = model_class(theory, S, cfg["limit"])
-    if name == "axioms":
-        return C.check_groupoid_axioms(mc)
-    if name == "preimages":
-        return C.check_preimage_identities(mc)
-    if name == "sobriety":
-        return C.check_sobriety(mc)
-    if name == "star":
-        return C.check_star(mc)
-    if name == "openness":
-        return C.check_openness(mc, depth=min(cfg["depth"], 2), ctx_max=2)
-    if name == "stabilization":
-        return C.check_stabilization(mc, depth=min(cfg["depth"], 2))
-    if name == "guns":
-        return C.check_guns(mc, depth=min(cfg["depth"], 2))
-    if name == "density":
-        return C.check_density(mc, cfg["nlimit"])
-    if name == "subobjects":
-        return C.check_gun_subobjects(mc, cfg["nlimit"])
-    if name == "basis":
-        return C.check_basis_property(mc, depth=cfg["depth"])
-    if name == "fullness":
-        return C.check_fullness_on_subobjects(mc, depth=cfg["depth"])
-    if name == "conservativity":
-        return C.check_conservativity(mc, depth=cfg["depth"])
-    if name == "isoinv":
-        return C.check_iso_invariance(mc, depth=min(cfg["depth"], 2))
-    if name == "pullback":
-        return check_pullback_square(theory, S, 1, cfg["limit"])
-    if name == "counit":
-        res = counit(theory, S, cfg["kmax"], cfg["depth"], cfg["limit"])
-        out = {
-            "status": {"verified": "pass", "inconclusive": "gated"}.get(res["status"], "fail"),
-            "object_counts": {str(k): list(v) for k, v in res["object_counts"].items()},
-            "arrow_counts": {f"{j}->{k}": list(v) for (j, k), v in res["arrow_counts"].items()},
-        }
-        return out
-    if name == "unit":
-        res = unit(mod_functor(theory, S, cfg["limit"]), cfg["kmax"], cfg["limit"])
-        ok = not res["morphism_violations"] and res["over_S"] and all(
-            r["ok"] for r in res["preimage_identities"]
-        )
-        return {
-            "status": "pass" if ok else "fail",
-            "violations": res["morphism_violations"],
-            "over_S": res["over_S"],
-        }
-    if name == "triangles":
-        res = check_triangle_identities(theory, S, cfg["kmax"], cfg["limit"])
-        ok = res["bottom"] and res["top"]
-        return {"status": "pass" if ok else "fail", "bottom": res["bottom"], "top": res["top"]}
-    if name == "sem":
-        res = check_sem_conditions(mod_functor(theory, S, cfg["limit"]), cfg["nlimit"])
-        ok = res["strongly_full"] and res["condition_ii"]
-        status = "pass" if ok else "fail"
-        if ok and not res["open"]:
-            status = "pass"  # openness shortfall reported, conditions hold
-        return {
-            "status": status,
-            "open": res["open"],
-            "strongly_full": res["strongly_full"],
-            "condition_ii": res["condition_ii"],
-            "closed_arrow_sets": res["n_count"],
-        }
-    if name == "coherent":
-        res = coherent_check(mod_functor(theory, S, cfg["limit"]), cfg["kmax"])
-        return {
-            "status": "pass" if res["ok"] else "fail",
-            "frames": [{"k": e["k"], "size": e["frame_size"], "all_compact": e["all_compact"]} for e in res["i"]],
-            "projection_checks": len(res["ii"]),
-            "degenerate_finite_frames": True,
-        }
-    if name == "reconstruction":
-        return check_reconstruction(theory, S, cfg["kmax"], cfg["depth"], cfg["limit"])
-    raise ModformError(f"unknown suite {name!r}")
+def _worst(statuses):
+    """A failure fails; else a gated or inconclusive result gates; else pass."""
+    statuses = set(statuses)
+    if "fail" in statuses:
+        return "fail"
+    if statuses & {"gated", "inconclusive"}:
+        return "gated"
+    return "pass"
 
 
-def _command_models(theory, cfg):
-    S = IndexSet(cfg["index_size"])
-    mc = model_class(theory, S, cfg["limit"])
+# Each suite's library call on a command context, in `check all` order.
+# The names are looked up at call time, so a wrapped function is called.
+_SUITE_CALLS = {
+    "axioms": lambda c: C.check_groupoid_axioms(c.mc),
+    "preimages": lambda c: C.check_preimage_identities(c.mc),
+    "sobriety": lambda c: C.check_sobriety(c.mc),
+    "star": lambda c: C.check_star(c.mc),
+    "openness": lambda c: C.check_openness(c.mc, depth=min(c.cfg["depth"], 2), ctx_max=2),
+    "stabilization": lambda c: C.check_stabilization(c.mc, depth=min(c.cfg["depth"], 2)),
+    "guns": lambda c: C.check_guns(c.mc, depth=min(c.cfg["depth"], 2)),
+    "density": lambda c: C.check_density(c.mc, c.cfg["nlimit"]),
+    "subobjects": lambda c: C.check_gun_subobjects(c.mc, c.cfg["nlimit"]),
+    "basis": lambda c: C.check_basis_property(c.mc, depth=c.cfg["depth"]),
+    "fullness": lambda c: C.check_fullness_on_subobjects(c.mc, depth=c.cfg["depth"]),
+    "conservativity": lambda c: C.check_conservativity(c.mc, depth=c.cfg["depth"]),
+    "isoinv": lambda c: C.check_iso_invariance(c.mc, depth=min(c.cfg["depth"], 2)),
+    "pullback": lambda c: check_pullback_square(c.theory, c.S, 1, c.cfg["limit"]),
+    "counit": lambda c: counit(c.theory, c.S, c.cfg["kmax"], c.cfg["depth"], c.cfg["limit"]),
+    "unit": lambda c: unit(c.gos, c.cfg["kmax"], c.cfg["limit"]),
+    "triangles": lambda c: check_triangle_identities(
+        c.theory, c.S, c.cfg["kmax"], c.cfg["limit"]
+    ),
+    "sem": lambda c: check_sem_conditions(c.gos, c.cfg["nlimit"]),
+    "coherent": lambda c: coherent_check(c.gos, c.cfg["kmax"]),
+    "reconstruction": lambda c: check_reconstruction(
+        c.theory, c.S, c.cfg["kmax"], c.cfg["depth"], c.cfg["limit"]
+    ),
+}
+
+SUITES = tuple(_SUITE_CALLS)
+
+
+def _counts(res):
+    """The counit's object and arrow counts as JSON-keyed lists."""
+    return {
+        "object_counts": {str(k): list(v) for k, v in res["object_counts"].items()},
+        "arrow_counts": {f"{j}->{k}": list(v) for (j, k), v in res["arrow_counts"].items()},
+    }
+
+
+def _counit_status(res):
+    return {"verified": "pass", "inconclusive": "gated"}.get(res["status"], "fail")
+
+
+def _unit_ok(res):
+    return (
+        not res["morphism_violations"]
+        and res["over_S"]
+        and all(r["ok"] for r in res["preimage_identities"])
+    )
+
+
+def _pass_if(ok):
+    return "pass" if ok else "fail"
+
+
+# Suites whose summary is not the library result itself.
+_SUMMARIES = {
+    "counit": lambda res: {"status": _counit_status(res), **_counts(res)},
+    "unit": lambda res: {
+        "status": _pass_if(_unit_ok(res)),
+        "violations": res["morphism_violations"],
+        "over_S": res["over_S"],
+    },
+    "triangles": lambda res: {
+        "status": _pass_if(res["bottom"] and res["top"]),
+        "bottom": res["bottom"],
+        "top": res["top"],
+    },
+    "sem": lambda res: {
+        "status": _pass_if(res["strongly_full"] and res["condition_ii"]),
+        "open": res["open"],
+        "strongly_full": res["strongly_full"],
+        "condition_ii": res["condition_ii"],
+        "closed_arrow_sets": res["n_count"],
+    },
+    "coherent": lambda res: {
+        "status": _pass_if(res["ok"]),
+        "frames": [
+            {"k": e["k"], "size": e["frame_size"], "all_compact": e["all_compact"]}
+            for e in res["i"]
+        ],
+        "projection_checks": len(res["ii"]),
+        "degenerate_finite_frames": True,
+    },
+}
+
+
+class _Context:
+    """One command's theory and bounds.  Each suite runs on first use, and
+    its result is kept until the command returns."""
+
+    def __init__(self, theory, cfg):
+        self.theory = theory
+        self.cfg = cfg
+        self.S = IndexSet(cfg["index_size"])
+        self._results = {}
+
+    @cached_property
+    def mc(self):
+        return model_class(self.theory, self.S, self.cfg["limit"])
+
+    @cached_property
+    def gos(self):
+        """Mod(T) over the groupoid of sets, shared by `unit`, `sem` and `coherent`."""
+        return mod_functor(self.theory, self.S, self.cfg["limit"])
+
+    def raw(self, name):
+        if name not in self._results:
+            if name not in _SUITE_CALLS:
+                raise ModformError(f"unknown suite {name!r}")
+            self._results[name] = _SUITE_CALLS[name](self)
+        return self._results[name]
+
+    def summary(self, name):
+        summarize = _SUMMARIES.get(name)
+        return summarize(self.raw(name)) if summarize else self.raw(name)
+
+
+def _command_models(ctx):
+    mc = ctx.mc
     return {
         "models": len(mc.models),
         "isomorphisms": len(mc.isos),
@@ -194,17 +187,9 @@ def _command_models(theory, cfg):
     }
 
 
-def _command_topology(theory, cfg):
-    S = IndexSet(cfg["index_size"])
-    mc = model_class(theory, S, cfg["limit"])
-    space = model_space(mc)
-    sob = C.check_sobriety(mc)
-    basis = C.check_basis_property(mc, depth=cfg["depth"])
-    status = "pass"
-    if sob["status"] == "gated":
-        status = "gated"
-    if "fail" in (sob["status"], basis["status"]):
-        status = "fail"
+def _command_topology(ctx):
+    space = model_space(ctx.mc)
+    sob, basis = ctx.raw("sobriety"), ctx.raw("basis")
     return {
         "opens": len(space.opens()),
         "open_sets": [sorted(o) for o in space.opens()],
@@ -213,23 +198,13 @@ def _command_topology(theory, cfg):
         "filters": [sorted(f.min_open) for f in cp_filters(space)],
         "sobriety": sob,
         "basis_property": basis,
-        "status": status,
+        "status": _worst([sob["status"], basis["status"]]),
     }
 
 
-def _command_groupoid(theory, cfg):
-    S = IndexSet(cfg["index_size"])
-    mc = model_class(theory, S, cfg["limit"])
-    ax = C.check_groupoid_axioms(mc)
-    pre = C.check_preimage_identities(mc)
-    op = C.check_openness(mc, depth=min(cfg["depth"], 2))
-    g = build_model_groupoid(mc)
-    results = [ax, pre, op]
-    status = "pass"
-    if any(r["status"] == "fail" for r in results):
-        status = "fail"
-    elif any(r["status"] == "gated" for r in results):
-        status = "gated"
+def _command_groupoid(ctx):
+    ax, pre, op = ctx.raw("axioms"), ctx.raw("preimages"), ctx.raw("openness")
+    g = build_model_groupoid(ctx.mc)
     return {
         "objects": g.objects.size,
         "arrows": g.arrows.size,
@@ -238,14 +213,13 @@ def _command_groupoid(theory, cfg):
         "openness": op,
         "d_c_open_maps": g.is_open(),
         "dump": g.to_json(),
-        "status": status,
+        "status": _worst(r["status"] for r in (ax, pre, op)),
     }
 
 
-def _command_sheaf(theory, cfg, formula_text):
-    S = IndexSet(cfg["index_size"])
-    mc = model_class(theory, S, cfg["limit"])
-    f = parse_formula_in_context(formula_text, theory.signature)
+def _command_sheaf(ctx, formula_text):
+    mc = ctx.mc
+    f = parse_formula_in_context(formula_text, ctx.theory.signature)
     sheaf = definable_sheaf(mc, f)
     violations = sheaf.check_invariants()
     fibers = {}
@@ -261,42 +235,35 @@ def _command_sheaf(theory, cfg, formula_text):
         "basis_names": [name for name, _ in sheaf.space.subbasis],
         "stable_opens": len(sheaf.stable_opens()),
         "invariant_violations": violations,
-        "status": "pass" if not violations else "fail",
+        "status": _pass_if(not violations),
     }
 
 
-def _command_site(theory, cfg):
-    S = IndexSet(cfg["index_size"])
-    mc = model_class(theory, S, cfg["limit"])
-    density = C.check_density(mc, cfg["nlimit"])
-    sub = C.check_gun_subobjects(mc, cfg["nlimit"])
-    status = "pass"
-    if "fail" in (density["status"], sub["status"]):
-        status = "fail"
-    elif "gated" in (density["status"], sub["status"]):
-        status = "gated"
+def _command_site(ctx):
+    density, sub = ctx.raw("density"), ctx.raw("subobjects")
     return {
         "sites": density["sites"],
         "density": density,
         "subobject_lattices": sub,
-        "status": status,
+        "status": _worst([density["status"], sub["status"]]),
     }
 
 
-def _command_dualize(theory, cfg):
-    S = IndexSet(cfg["index_size"])
-    res = counit(theory, S, cfg["kmax"], cfg["depth"], cfg["limit"])
+def _command_dualize(ctx):
+    res = ctx.raw("counit")
     out = {
         "counit_status": res["status"],
-        "object_counts": {str(k): list(v) for k, v in res["object_counts"].items()},
-        "arrow_counts": {f"{j}->{k}": list(v) for (j, k), v in res["arrow_counts"].items()},
+        **_counts(res),
         "object_bijection": {str(k): v for k, v in res.get("object_map", {}).items()},
         "gated_tests": {
             str(k): v for k, v in res.get("unmatched_objects", {}).items() if v
         },
     }
-    if not res.get("inconsistent"):
-        sem = check_sem_conditions(mod_functor(theory, S, cfg["limit"]), cfg["nlimit"])
+    statuses = [_counit_status(res)]
+    if res.get("inconsistent"):
+        out["triangles"] = {"bottom": True, "top": True}
+    else:
+        sem = ctx.raw("sem")
         out["sem_certificates"] = {
             "open": sem["open"],
             "strongly_full": sem["strongly_full"],
@@ -314,54 +281,50 @@ def _command_dualize(theory, cfg):
                 for r in sem["per_N"]
             ],
         }
-        tri = check_triangle_identities(theory, S, cfg["kmax"], cfg["limit"])
-        un = tri["unit"]
+        tri = ctx.raw("triangles")
         out["triangles"] = {"bottom": tri["bottom"], "top": tri["top"]}
-        out["unit_ok"] = not un["morphism_violations"] and un["over_S"]
-        rec = check_reconstruction(theory, S, cfg["kmax"], cfg["depth"], cfg["limit"])
-        out["reconstruction"] = rec["status"]
-        ok = (
-            res["status"] == "verified"
-            and tri["bottom"]
-            and tri["top"]
-            and out["unit_ok"]
-            and rec["status"] == "pass"
-        )
-        out["status"] = "pass" if ok else ("gated" if res["status"] == "inconclusive" else "fail")
-    else:
-        out["triangles"] = {"bottom": True, "top": True}
-        out["status"] = "pass" if res["status"] == "verified" else "fail"
+        out["unit_ok"] = _unit_ok(tri["unit"])
+        out["reconstruction"] = ctx.raw("reconstruction")["status"]
+        statuses += [
+            ctx.summary("triangles")["status"],
+            _pass_if(out["unit_ok"]),
+            out["reconstruction"],
+        ]
+    out["status"] = _worst(statuses)
     return out
 
 
-def _command_check(theory, cfg, suite):
+def _command_check(ctx, suite):
     names = SUITES if suite == "all" else (suite,)
-    results = {}
-    for name in names:
-        results[name] = _run_suite(name, theory, cfg)
-    worst = "pass"
-    for r in results.values():
-        if r["status"] == "fail":
-            worst = "fail"
-        elif r["status"] in ("gated", "inconclusive") and worst == "pass":
-            worst = "gated"
-    return {"suites": results, "status": worst}
+    results = {name: ctx.summary(name) for name in names}
+    return {"suites": results, "status": _worst(r["status"] for r in results.values())}
 
 
-def _command_report(theory, cfg):
+def _command_report(ctx):
     out = {
-        "models": _command_models(theory, cfg),
-        "topology": _command_topology(theory, cfg),
-        "groupoid": _command_groupoid(theory, cfg),
-        "site": _command_site(theory, cfg),
-        "dualize": _command_dualize(theory, cfg),
-        "checks": _command_check(theory, cfg, "all"),
+        "models": _command_models(ctx),
+        "topology": _command_topology(ctx),
+        "groupoid": _command_groupoid(ctx),
+        "site": _command_site(ctx),
+        "dualize": _command_dualize(ctx),
+        "checks": _command_check(ctx, "all"),
     }
-    statuses = [v["status"] for v in out.values()]
-    out["status"] = (
-        "fail" if "fail" in statuses else ("gated" if "gated" in statuses else "pass")
-    )
+    out["status"] = _worst(v["status"] for v in out.values())
     return out
+
+
+# Each command on a context and its extra argument (a formula or a suite).
+# The command functions are looked up at call time.
+_COMMANDS = {
+    "models": lambda ctx, extra: _command_models(ctx),
+    "topology": lambda ctx, extra: _command_topology(ctx),
+    "groupoid": lambda ctx, extra: _command_groupoid(ctx),
+    "sheaf": lambda ctx, extra: _command_sheaf(ctx, extra),
+    "site": lambda ctx, extra: _command_site(ctx),
+    "dualize": lambda ctx, extra: _command_dualize(ctx),
+    "check": lambda ctx, extra: _command_check(ctx, extra or "all"),
+    "report": lambda ctx, extra: _command_report(ctx),
+}
 
 
 def build_parser():
@@ -369,9 +332,7 @@ def build_parser():
         prog="modform",
         description="finite-scale model groupoids, sheaves and dualization for geometric theories",
     )
-    p.add_argument("command", choices=[
-        "models", "topology", "groupoid", "sheaf", "site", "dualize", "check", "report",
-    ])
+    p.add_argument("command", choices=list(_COMMANDS))
     p.add_argument("args", nargs="*", help="suite name or formula, then the theory file")
     p.add_argument("--index-size", type=int, default=2, dest="index_size")
     p.add_argument("--kmax", type=int, default=1)
@@ -398,41 +359,26 @@ def _print_text(result, out):
 
 def run(command, config, theory_text, extra=None, name=""):
     """Programmatic entry point: returns (exit_code, result_dict)."""
-    config = _config(config)
     theory = parse_theory(theory_text, name)
-    if command == "models":
-        result = _command_models(theory, config)
-    elif command == "topology":
-        result = _command_topology(theory, config)
-    elif command == "groupoid":
-        result = _command_groupoid(theory, config)
-    elif command == "sheaf":
-        result = _command_sheaf(theory, config, extra)
-    elif command == "site":
-        result = _command_site(theory, config)
-    elif command == "dualize":
-        result = _command_dualize(theory, config)
-    elif command == "check":
-        result = _command_check(theory, config, extra or "all")
-    elif command == "report":
-        result = _command_report(theory, config)
-    else:
+    if command not in _COMMANDS:
         raise ModformError(f"unknown command {command!r}")
+    result = _COMMANDS[command](_Context(theory, dict(config)), extra)
     status = result.get("status", "pass")
     code = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "gated": EXIT_GATED}.get(status, EXIT_FAIL)
     return code, result
 
 
 def main(argv=None):
-    parser = build_parser()
-    ns = parser.parse_intermixed_args(argv)
-    cfg = {
-        "index_size": ns.index_size,
-        "kmax": ns.kmax,
-        "depth": ns.depth,
-        "limit": ns.limit,
-        "nlimit": ns.nlimit,
-    }
+    try:
+        ns = build_parser().parse_intermixed_args(argv)
+    except SystemExit as e:  # exit 2 from argparse would read as "gated"
+        return EXIT_PASS if e.code == 0 else EXIT_IO
+    cfg = {key: getattr(ns, key) for key in ("index_size", "kmax", "depth", "limit", "nlimit")}
+    for key, value in cfg.items():
+        least = 1 if key == "index_size" else 0
+        if value < least:
+            print(f"--{key.replace('_', '-')} must be at least {least}", file=sys.stderr)
+            return EXIT_IO
     args = list(ns.args)
     extra = None
     if ns.command == "check":

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from modform import cli
+from modform import checks, cli
 from modform.cli import (
     EXIT_FAIL,
     EXIT_GATED,
@@ -113,7 +113,7 @@ def test_invariant_error_is_reported_as_checker_bug(tmp_path, capsys, monkeypatc
     thy = tmp_path / "empty.thy"
     thy.write_text("")
 
-    def broken(theory, cfg):
+    def broken(ctx):
         raise InvariantError("certificate misses a point")
 
     monkeypatch.setattr(cli, "_command_models", broken)
@@ -147,3 +147,104 @@ def test_cli_suite_flag(tmp_path, capsys):
 def test_unknown_suite_fails():
     with pytest.raises(Exception):
         run("check", CFG, "", "nonsense")
+
+
+def test_dualize_failure_is_not_gated(monkeypatch):
+    # at depth 0 the counit is inconclusive, so a failure must still win
+    cfg = dict(CFG, index_size=1, depth=0)
+    real = cli.check_reconstruction
+
+    def failing(*args, **kwargs):
+        return dict(real(*args, **kwargs), status="fail")
+
+    monkeypatch.setattr(cli, "check_reconstruction", failing)
+    code, result = run("dualize", cfg, "")
+    assert result["counit_status"] == "inconclusive"
+    assert (code, result["status"]) == (EXIT_FAIL, "fail")
+
+
+def test_dualize_unit_needs_every_preimage_identity(monkeypatch):
+    real = cli.check_triangle_identities
+
+    def broken_identity(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res["unit"]["preimage_identities"][0]["ok"] = False
+        return res
+
+    monkeypatch.setattr(cli, "check_triangle_identities", broken_identity)
+    code, result = run("dualize", dict(CFG, index_size=1), "rel P/1\n")
+    assert result["unit_ok"] is False
+    assert (code, result["status"]) == (EXIT_FAIL, "fail")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--index-size", "0"],
+    ["--kmax", "-1"],
+    ["--depth", "-1"],
+    ["--limit", "-1"],
+    ["--nlimit", "-1"],
+])
+def test_out_of_range_bound_is_a_usage_error(flags, tmp_path, capsys):
+    thy = tmp_path / "empty.thy"
+    thy.write_text("")
+    assert main(["dualize", "--index-size", "1", *flags, str(thy)]) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and flags[0] in err
+
+
+@pytest.mark.parametrize("flags", [["--bogus"], ["--format", "xml"], ["--kmax", "one"]])
+def test_argparse_usage_error_exits_io(flags, tmp_path, capsys):
+    thy = tmp_path / "empty.thy"
+    thy.write_text("")
+    assert main(["models", *flags, str(thy)]) == EXIT_IO
+    assert "error" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == EXIT_PASS
+    assert "usage" in capsys.readouterr().out
+
+
+def test_report_runs_each_suite_once(monkeypatch):
+    calls = {}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in (
+        "check_groupoid_axioms", "check_preimage_identities", "check_sobriety",
+        "check_star", "check_openness", "check_stabilization", "check_guns",
+        "check_density", "check_gun_subobjects", "check_basis_property",
+        "check_fullness_on_subobjects", "check_conservativity", "check_iso_invariance",
+    ):
+        counted(checks, name)
+    for name in (
+        "check_pullback_square", "counit", "unit", "check_triangle_identities",
+        "check_sem_conditions", "coherent_check", "check_reconstruction", "mod_functor",
+    ):
+        counted(cli, name)
+    run("report", dict(CFG, index_size=1), "")
+    assert len(calls) == len(cli.SUITES) + 1
+    assert calls == dict.fromkeys(calls, 1)
+
+
+def test_report_sections_equal_standalone_commands():
+    text = "rel P/1\n"
+    cfg = dict(CFG, index_size=1)
+    _, report = run("report", cfg, text)
+    for section, command in (
+        ("topology", "topology"),
+        ("groupoid", "groupoid"),
+        ("site", "site"),
+        ("dualize", "dualize"),
+        ("checks", "check"),
+    ):
+        _, alone = run(command, cfg, text, "all" if command == "check" else None)
+        assert cli._jsonable(report[section]) == cli._jsonable(alone), section

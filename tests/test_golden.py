@@ -36,6 +36,10 @@ CASES = [
      "23f21496f9ecc7074f02ec2d0926d5db371799e9782bd1ee8776badafd0980af"),
     ("P1", ["check", "openness", "--index-size", "2", "--depth", "1"], 2,
      "98f0a061e1d3cfc46a6cf77d7102fcf4e48da2340fa99abbf9e424698e440a42"),
+    ("P1", ["report", "--index-size", "2"], 2,
+     "459ae8aa7a18fb8984a128bfce40e36a5a81e91b0a8f8865eb76388220509bf6"),
+    ("symE", ["report", "--index-size", "1"], 0,
+     "9c5884980e228a594dd209f0b2de9fc21ff9bed55469f991c3f1c8a57a177452"),
 ]
 
 

@@ -15,12 +15,13 @@ import random
 import pytest
 
 from modform import checks, groupoid
-from modform.checks import check_openness
+from modform.checks import _basic_open_m_choices, check_openness
 from modform.errors import InvariantError, SignatureError
 from modform.groupoid import certificate_open, open_image_d
 from modform.logic import EQUALITY_THEORY, Eq, Var, conj, fic, substitute
 from modform.models import IndexSet, build_model_class, model_class, star_headroom
 from modform.parser import parse_theory
+from modform.search import FormulaSearch
 from modform.topology import (
     BasicOpenI,
     BasicOpenM,
@@ -223,6 +224,18 @@ def test_open_image_d_matches_formula_reference(name, depth, sample, monkeypatch
     statuses = [assert_matches_reference(mc, v) for v in instances]
     # both outcomes occur, so the gate diagnosis is compared too
     assert {"verified", "gated"} <= set(statuses)
+
+
+@pytest.mark.parametrize("name,n,depth,count", [
+    ("T_eq", 2, 2, 19), ("P/1", 2, 1, 28), ("symE", 2, 1, 32), ("T_eq", 3, 2, 36),
+])
+def test_basic_open_choices_are_distinct(name, n, depth, count):
+    # check_openness visits every (dom, pairs, cod) once without a seen-set
+    # because these opens are distinct
+    mc = model_class(THEORIES[name], IndexSet(n))
+    choices = _basic_open_m_choices(mc, FormulaSearch(mc), 2, depth)
+    assert len(choices) == count
+    assert len({(b.formula, b.params) for b in choices}) == count
 
 
 def test_normalization_guard_is_an_invariant_error(monkeypatch):
