@@ -16,7 +16,6 @@ from modform import (
     form_functor,
     mod_functor,
     parse_theory,
-    syntactic_category,
     unit,
 )
 from modform.logic import EQUALITY_THEORY
@@ -24,7 +23,9 @@ from modform.logic import EQUALITY_THEORY
 S = IndexSet(2)
 
 print("== counit: syntax against semantics, empty theory ==")
-res = counit(EQUALITY_THEORY, S, k_max=1, depth=3)
+# Form(Mod T): the relation category of the model groupoid, at k_max = 1
+rc = form_functor(mod_functor(EQUALITY_THEORY, S), k_max=1)
+res = counit(rc, depth=3)
 print(f"status: {res['status']}")
 for k, (n_syntax, n_form) in sorted(res["object_counts"].items()):
     print(f"  context length {k}: {n_syntax} formula classes ~ {n_form} stable opens")
@@ -34,16 +35,17 @@ for jk, (a, b) in sorted(res["arrow_counts"].items()):
 print()
 print("== the same for a symmetric relation (depth matters) ==")
 symE = parse_theory("rel E/2\naxiom E(x,y) |- [x,y] E(y,x)", name="symE")
+rc_symE = form_functor(mod_functor(symE, S), 1)
 for depth in (3, 4):
-    r = counit(symE, S, 1, depth)
+    r = counit(rc_symE, depth)
     print(f"  depth {depth}: {r['status']}, objects {dict(r['object_counts'])}")
 
 print()
 print("== unit and the triangle identities ==")
-tri = check_triangle_identities(EQUALITY_THEORY, S, 1)
+un = unit(rc)
+tri = check_triangle_identities(un)
 print(f"bottom triangle (Mod side): {tri['bottom']}")
 print(f"top triangle (Form side): {tri['top']}")
-un = unit(mod_functor(EQUALITY_THEORY, S), 1)
 print(f"unit morphism violations: {un['morphism_violations'] or 'none'}")
 print(f"unit sits over the groupoid of sets: {un['over_S']}")
 

@@ -22,6 +22,7 @@ from .duality import (
     check_triangle_identities,
     coherent_check,
     counit,
+    form_functor,
     mod_functor,
     unit,
 )
@@ -74,17 +75,13 @@ _SUITE_CALLS = {
     "fullness": lambda c: C.check_fullness_on_subobjects(c.mc, depth=c.cfg["depth"]),
     "conservativity": lambda c: C.check_conservativity(c.mc, depth=c.cfg["depth"]),
     "isoinv": lambda c: C.check_iso_invariance(c.mc, depth=min(c.cfg["depth"], 2)),
-    "pullback": lambda c: check_pullback_square(c.theory, c.S, 1, c.cfg["limit"]),
-    "counit": lambda c: counit(c.theory, c.S, c.cfg["kmax"], c.cfg["depth"], c.cfg["limit"]),
-    "unit": lambda c: unit(c.gos, c.cfg["kmax"], c.cfg["limit"]),
-    "triangles": lambda c: check_triangle_identities(
-        c.theory, c.S, c.cfg["kmax"], c.cfg["limit"]
-    ),
+    "pullback": lambda c: check_pullback_square(c.gos, 1),
+    "counit": lambda c: counit(c.form, c.cfg["depth"]),
+    "unit": lambda c: unit(c.form, c.cfg["limit"]),
+    "triangles": lambda c: check_triangle_identities(c.raw("unit"), c.cfg["limit"]),
     "sem": lambda c: check_sem_conditions(c.gos, c.cfg["nlimit"]),
     "coherent": lambda c: coherent_check(c.gos, c.cfg["kmax"]),
-    "reconstruction": lambda c: check_reconstruction(
-        c.theory, c.S, c.cfg["kmax"], c.cfg["depth"], c.cfg["limit"]
-    ),
+    "reconstruction": lambda c: check_reconstruction(c.raw("unit"), c.cfg["depth"]),
 }
 
 SUITES = tuple(_SUITE_CALLS)
@@ -162,8 +159,13 @@ class _Context:
 
     @cached_property
     def gos(self):
-        """Mod(T) over the groupoid of sets, shared by `unit`, `sem` and `coherent`."""
+        """Mod(T) over the groupoid of sets."""
         return mod_functor(self.theory, self.S, self.cfg["limit"])
+
+    @cached_property
+    def form(self):
+        """Form(Mod T), the relation category of the counit and the unit."""
+        return form_functor(self.gos, self.cfg["kmax"])
 
     def raw(self, name):
         if name not in self._results:
@@ -283,7 +285,7 @@ def _command_dualize(ctx):
         }
         tri = ctx.raw("triangles")
         out["triangles"] = {"bottom": tri["bottom"], "top": tri["top"]}
-        out["unit_ok"] = _unit_ok(tri["unit"])
+        out["unit_ok"] = _unit_ok(ctx.raw("unit"))
         out["reconstruction"] = ctx.raw("reconstruction")["status"]
         statuses += [
             ctx.summary("triangles")["status"],

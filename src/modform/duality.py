@@ -23,7 +23,6 @@ from .groupoid import (
 )
 from .logic import (
     And,
-    App,
     BOT,
     Bot,
     EQUALITY_THEORY,
@@ -40,6 +39,7 @@ from .logic import (
     Var,
     disj,
     fic,
+    identity_interpretation,
     initial_interpretation,
 )
 from .models import (
@@ -225,7 +225,7 @@ class RelationCategory:
         return frozenset(out)
 
 
-def form_functor(gos: GroupoidOverS, k_max, limit=300_000) -> RelationCategory:
+def form_functor(gos: GroupoidOverS, k_max) -> RelationCategory:
     """The relation category on the pullback of the generic object."""
     g = gos.groupoid
     if g.objects.size == 0:
@@ -233,7 +233,7 @@ def form_functor(gos: GroupoidOverS, k_max, limit=300_000) -> RelationCategory:
     rc = RelationCategory(gos, k_max, False)
     rc.powers = [u_power(gos, k) for k in range(2 * k_max + 1)]
     for k in range(2 * k_max + 1):
-        rc.levels[k] = rc.powers[k].stable_opens(limit)
+        rc.levels[k] = rc.powers[k].stable_opens()
         rc.index[k] = {V: i for i, V in enumerate(rc.levels[k])}
     for k in range(k_max + 1):
         rc.objects[k] = rc.levels[k]
@@ -304,13 +304,13 @@ class TheoryCategory:
         return len(self.objects[k])
 
 
-def syntactic_category(theory, S, k_max, depth, limit=None) -> TheoryCategory:
-    """Objects and arrows of the syntactic category up to the bounds.
+def syntactic_category(mc: ModelClass, k_max, depth) -> TheoryCategory:
+    """Objects and arrows of the syntactic category of mc's theory up to
+    the bounds.
 
     Equivalence is semantic over the model class, which is provable
     equivalence relative to the semantic closure of the theory.
     """
-    mc = model_class(theory, S, DEFAULT_LIMIT if limit is None else limit)
     search = FormulaSearch(mc)
     tc = TheoryCategory(mc, k_max, depth)
     for k in range(k_max + 1):
@@ -337,24 +337,7 @@ def semantic_quotient(theory, S, limit=None):
     """The semantic closure of a theory as an entailment oracle, with the
     identity-on-syntax interpretation into it."""
     mc = model_class(theory, S, DEFAULT_LIMIT if limit is None else limit)
-    eta = Interpretation(
-        theory,
-        theory,
-        tuple(
-            (n, fic([f"x{i}" for i in range(a)], Rel(n, tuple(Var(f"x{i}") for i in range(a)))))
-            for n, a in theory.signature.rels
-        ),
-        tuple(
-            (
-                n,
-                fic(
-                    [f"x{i}" for i in range(a + 1)],
-                    Eq(App(n, tuple(Var(f"x{i}") for i in range(a))), Var(f"x{a}")),
-                ),
-            )
-            for n, a in theory.signature.funs
-        ),
-    )
+    eta = identity_interpretation(theory)
     axioms_closed = all(mc.entails(ax) for ax in theory.axioms)
     return {"oracle": mc, "eta": eta, "axioms_in_closure": axioms_closed}
 
@@ -373,16 +356,16 @@ def definable_point_set(rc: RelationCategory, k, family):
     return frozenset(out)
 
 
-def counit(theory, S, k_max, depth, limit=None):
-    """The functor sending a formula class to its extension sheaf, with an
-    isomorphism certificate at the bounds.
+def counit(rc: RelationCategory, depth):
+    """The functor from the syntactic category of T to rc = Form(Mod T)
+    sending a formula class to its extension sheaf, with an isomorphism
+    certificate at the bounds.
 
     Injectivity on classes holds by construction; surjectivity misses are
     reported as inconclusive at the depth bound.
     """
-    gos = mod_functor(theory, S, limit)
-    rc = form_functor(gos, k_max)
-    tc = syntactic_category(theory, S, k_max, depth, limit)
+    k_max = rc.k_max
+    tc = syntactic_category(rc.gos.mc, k_max, depth)
     if rc.inconsistent:
         counts = {k: (len(tc.objects[k]), 1) for k in range(k_max + 1)}
         ok = all(len(tc.objects[k]) == 1 for k in range(k_max + 1))
@@ -441,7 +424,6 @@ def counit(theory, S, k_max, depth, limit=None):
         "inconsistent": False,
         "rc": rc,
         "tc": tc,
-        "gos": gos,
     }
 
 
@@ -567,12 +549,17 @@ def theory_view(rc: RelationCategory):
 # unit
 
 
-def unit(gos: GroupoidOverS, k_max, limit=None):
-    """The comparison morphism into the model groupoid of the relation
-    category's theory: objects go to their fiber models, arrows keep their
-    underlying bijections."""
-    limit = DEFAULT_LIMIT if limit is None else limit
-    rc = form_functor(gos, k_max)
+def _symbol(names, k, i):
+    """The atomic formula-in-context of the theory-view symbol of levels[k][i]."""
+    xs = [f"x{m}" for m in range(k)]
+    return fic(xs, Rel(names[(k, i)], tuple(map(Var, xs))))
+
+
+def unit(rc: RelationCategory, limit=None):
+    """The comparison morphism from G = rc.gos into Mod(Form G), the model
+    groupoid of the relation category's theory: objects go to their fiber
+    models, arrows keep their underlying bijections."""
+    gos = rc.gos
     theory, names = theory_view(rc)
     S = gos.s_mc.S
     target = mod_functor(theory, S, limit)
@@ -644,85 +631,72 @@ def unit(gos: GroupoidOverS, k_max, limit=None):
 # triangle identities
 
 
-def _counit_interpretation(theory, rc, names, form_theory):
-    """The counit as an interpretation of a theory into its Form theory."""
-    rels = []
-    for n, a in theory.signature.rels:
-        phi = fic([f"x{i}" for i in range(a)], Rel(n, tuple(Var(f"x{i}") for i in range(a))))
-        fam = tuple(rc.gos.mc.ext(m, phi) for m in range(len(rc.gos.mc.models)))
-        idx = rc.position(a, definable_point_set(rc, a, fam), f"extension of {n}")
-        rels.append(
-            (n, fic([f"x{i}" for i in range(a)], Rel(names[(a, idx)], tuple(Var(f"x{i}") for i in range(a)))))
-        )
-    funs = []
-    for n, a in theory.signature.funs:
-        graph = fic(
-            [f"x{i}" for i in range(a + 1)],
-            Eq(App(n, tuple(Var(f"x{i}") for i in range(a))), Var(f"x{a}")),
-        )
-        fam = tuple(rc.gos.mc.ext(m, graph) for m in range(len(rc.gos.mc.models)))
-        idx = rc.position(a + 1, definable_point_set(rc, a + 1, fam), f"graph of {n}")
-        funs.append(
-            (
-                n,
-                fic(
-                    [f"x{i}" for i in range(a + 1)],
-                    Rel(names[(a + 1, idx)], tuple(Var(f"x{i}") for i in range(a + 1))),
-                ),
-            )
-        )
-    return Interpretation(theory, form_theory, tuple(rels), tuple(funs))
+def _transpose(theory, un, mc, f0):
+    """The interpretation of a theory into the theory view of un["rc"] that
+    sends each symbol to the stable open of its extensions in model f0[x]
+    of mc over each object x: the counit when mc is Mod(theory) itself,
+    and Form(m) after the counit for a morphism m into mc."""
+    rc, names = un["rc"], un["names"]
+
+    def image(n, phi):
+        k = len(phi)
+        ext = {m: mc.ext(m, phi) for m in set(f0)}
+        V = frozenset(i for i, (x, t) in enumerate(rc.powers[k].points) if t in ext[f0[x]])
+        return n, _symbol(names, k, rc.position(k, V, f"extension of {n}"))
+
+    symbols = identity_interpretation(theory)
+    return Interpretation(
+        theory,
+        un["theory"],
+        tuple(image(*e) for e in symbols.rel_map),
+        tuple(image(*e) for e in symbols.fun_map),
+    )
 
 
-def check_triangle_identities(theory, S, k_max, limit=None):
-    """Verify both triangle identities as equalities of computed data.
+def check_triangle_identities(un, limit=None):
+    """Verify both triangle identities at G = Mod(T) as equalities of
+    computed data, from the unit of G.
 
     Bottom: restriction along the counit interpretation after the unit is
     the identity on the model groupoid.  Top: pulling the counit image of
     every relation-category object and arrow back along the unit returns it
-    unchanged.
+    unchanged.  Both hold vacuously when T is inconsistent: G is empty and
+    Form(G) is the degenerate category.
     """
-    limit = DEFAULT_LIMIT if limit is None else limit
-    gos = mod_functor(theory, S, limit)
-    un = unit(gos, k_max, limit)
-    rc, form_theory, names, target = un["rc"], un["theory"], un["names"], un["target"]
+    rc, morphism = un["rc"], un["morphism"]
+    gos = rc.gos
+    if rc.inconsistent:
+        return {"bottom": True, "top": True, "top_failures": [],
+                "counit_interpretation": None, "preimage_report_ok": True}
+    theory = gos.mc.theory
     for n, a in theory.signature.rels:
         if a not in rc.levels:
             raise SignatureError(f"relation arity {a} exceeds the level bound")
     for n, a in theory.signature.funs:
         if a + 1 not in rc.levels:
             raise SignatureError(f"function arity {a} exceeds the level bound")
-    eps = _counit_interpretation(theory, rc, names, form_theory)
-    mod_eps, report = mod_on_interpretation(eps, S, limit)
-    composite = mod_eps.compose(un["morphism"])
+    eps = _transpose(theory, un, gos.mc, range(len(gos.mc.models)))
+    mod_eps, report = mod_on_interpretation(eps, gos.s_mc.S, limit)
+    composite = mod_eps.compose(morphism)
     ident = identity_morphism(gos.groupoid)
     bottom = composite.f0 == ident.f0 and composite.f1 == ident.f1
     # top triangle: objects and arrows of Form(G) return unchanged
-    mc_B = target.mc
-    g = gos.groupoid
-    top_ok = True
+    mc_B = un["target"].mc
     failures = []
     for k in sorted(rc.levels):
         sheaf = rc.powers[k]
         for i, V in enumerate(rc.levels[k]):
-            phi = fic(
-                [f"x{m}" for m in range(k)],
-                Rel(names[(k, i)], tuple(Var(f"x{m}") for m in range(k))),
+            phi = _symbol(un["names"], k, i)
+            pulled = frozenset(
+                p for p, (x, t) in enumerate(sheaf.points) if t in mc_B.ext(morphism.f0[x], phi)
             )
-            pulled = set()
-            for p, (x, t) in enumerate(sheaf.points):
-                model_idx = un["morphism"].f0[x]
-                if t in mc_B.ext(model_idx, phi):
-                    pulled.add(p)
-            if frozenset(pulled) != V:
-                top_ok = False
+            if pulled != V:
                 failures.append((k, i))
     return {
         "bottom": bottom,
-        "top": top_ok,
+        "top": not failures,
         "top_failures": failures,
         "counit_interpretation": eps,
-        "unit": un,
         "preimage_report_ok": all(r["ok"] for r in report),
     }
 
@@ -731,12 +705,11 @@ def check_triangle_identities(theory, S, k_max, limit=None):
 # the pullback lemma, naturality, and reconstruction
 
 
-def check_pullback_square(theory, S, k=1, limit=None):
-    """The pullback of the generic object power along the forgetful map
-    equals the definable sheaf of the trivial formula, as sets and as
-    topologies, and agrees with the generic sheaf pulled back along the
-    slice morphism."""
-    gos = mod_functor(theory, S, limit)
+def check_pullback_square(gos: GroupoidOverS, k=1):
+    """The pullback of the generic object power along the forgetful map of
+    gos = Mod(T) equals the definable sheaf of the trivial formula, as sets
+    and as topologies, and agrees with the generic sheaf pulled back along
+    the slice morphism."""
     mc = gos.mc
     power = u_power(gos, k)
     direct = definable_sheaf(mc, fic([f"x{i}" for i in range(k)], TOP))
@@ -821,15 +794,7 @@ def form_interpretation(rc_src: RelationCategory, names_src, rc_dst: RelationCat
             if src_sheaf.point_index[(morphism.f0[x], t)] in V
         )
         j = rc_dst.position(k, pulled, f"pullback of {name}")
-        rels.append(
-            (
-                name,
-                fic(
-                    [f"x{m}" for m in range(k)],
-                    Rel(names_dst[(k, j)], tuple(Var(f"x{m}") for m in range(k))),
-                ),
-            )
-        )
+        rels.append((name, _symbol(names_dst, k, j)))
     return Interpretation(theory_src, theory_dst, tuple(rels), ())
 
 
@@ -839,8 +804,8 @@ def check_unit_naturality(interp, S, k_max, limit=None):
     gos_src = mod_functor(interp.source, S, limit)  # Mod(T), the codomain
     gos_dst = mod_functor(interp.target, S, limit)  # Mod(T'), the domain
     f, _ = mod_on_interpretation(interp, S)  # Mod(T') -> Mod(T)
-    un_src = unit(gos_src, k_max, limit)
-    un_dst = unit(gos_dst, k_max, limit)
+    un_src = unit(form_functor(gos_src, k_max), limit)
+    un_dst = unit(form_functor(gos_dst, k_max), limit)
     fi = form_interpretation(
         un_src["rc"], un_src["names"], un_dst["rc"], un_dst["names"],
         f, un_src["theory"], un_dst["theory"],
@@ -904,21 +869,21 @@ def eval_in_category(rc: RelationCategory, names_inv, phi, positions, ctx_len):
     raise SignatureError(f"not a formula: {phi!r}")
 
 
-def check_reconstruction(theory, S, k_max, depth, limit=None):
-    """The two reconstruction functors compose to identities at bounds:
-    evaluating a symbol's atomic formula in the category returns its stable
-    open, and re-presenting a bounded formula by the symbol of its
-    categorical value is provably equivalent to it."""
-    gos = mod_functor(theory, S, limit)
-    rc = form_functor(gos, k_max)
-    form_theory, names = theory_view(rc)
+def check_reconstruction(un, depth):
+    """The two reconstruction functors compose to identities at bounds, on
+    the relation category and Mod(Form T) of the unit un: evaluating a
+    symbol's atomic formula in the category returns its stable open, and
+    re-presenting a bounded formula by the symbol of its categorical value
+    is provably equivalent to it.  The degenerate category of an
+    inconsistent theory has no symbols and no powers to evaluate in."""
+    rc, names = un["rc"], un["names"]
     names_inv = {name: key for key, name in names.items()}
-    mc_B = model_class(form_theory, S)
+    mc_B = un["target"].mc
     # G(F(V)) = V for every object symbol
     gf_ok = True
-    for (k, i), name in names.items():
-        atom = Rel(name, tuple(Var(f"x{m}") for m in range(k)))
-        val = eval_in_category(rc, names_inv, atom, {f"x{m}": m for m in range(k)}, k)
+    for k, i in names:
+        phi = _symbol(names, k, i).formula
+        val = eval_in_category(rc, names_inv, phi, {f"x{m}": m for m in range(k)}, k)
         if val != rc.levels[k][i]:
             gf_ok = False
     # F(G(phi)) ~ phi for bounded formula classes over the Form signature
@@ -926,7 +891,7 @@ def check_reconstruction(theory, S, k_max, depth, limit=None):
     fg_failures = []
     skipped = 0
     checked = 0
-    for k in range(k_max + 1):
+    for k in (() if rc.inconsistent else range(rc.k_max + 1)):
         for phi, fam in search.classes(k, depth):
             try:
                 val = eval_in_category(
@@ -936,11 +901,7 @@ def check_reconstruction(theory, S, k_max, depth, limit=None):
                 skipped += 1
                 continue
             idx = rc.position(k, val, f"value of {phi}")
-            re_presented = fic(
-                [f"x{m}" for m in range(k)],
-                Rel(names[(k, idx)], tuple(Var(f"x{m}") for m in range(k))),
-            )
-            fam2 = tuple(mc_B.ext(m, re_presented) for m in range(len(mc_B.models)))
+            fam2 = mc_B.extension_family(_symbol(names, k, idx))
             checked += 1
             if fam != fam2:
                 fg_failures.append(str(phi))
@@ -1177,26 +1138,8 @@ def enumerate_interpretations(theory, form_theory, rc: RelationCategory, names, 
     out = []
     for rel_pick in itertools.product(*rel_options):
         for fun_pick in itertools.product(*fun_options):
-            rels = tuple(
-                (
-                    n,
-                    fic(
-                        [f"x{m}" for m in range(a)],
-                        Rel(names[(a, i)], tuple(Var(f"x{m}") for m in range(a))),
-                    ),
-                )
-                for n, a, i in rel_pick
-            )
-            funs = tuple(
-                (
-                    n,
-                    fic(
-                        [f"x{m}" for m in range(a + 1)],
-                        Rel(names[(a + 1, i)], tuple(Var(f"x{m}") for m in range(a + 1))),
-                    ),
-                )
-                for n, a, i in fun_pick
-            )
+            rels = tuple((n, _symbol(names, a, i)) for n, a, i in rel_pick)
+            funs = tuple((n, _symbol(names, a + 1, i)) for n, a, i in fun_pick)
             interp = Interpretation(theory, form_theory, rels, funs)
             if not check_interpretation(interp, S, limit):
                 out.append(interp)
@@ -1211,48 +1154,13 @@ def check_hom_bijection(gos: GroupoidOverS, theory, k_max, limit=None):
     limit = DEFAULT_LIMIT if limit is None else limit
     S = gos.s_mc.S
     target = mod_functor(theory, S, limit)
-    un = unit(gos, k_max, limit)
-    rc, form_theory, names = un["rc"], un["theory"], un["names"]
+    un = unit(form_functor(gos, k_max), limit)
     morphisms = enumerate_morphisms_over_s(gos, target)
-    interps = enumerate_interpretations(theory, form_theory, rc, names, S, limit)
+    interps = enumerate_interpretations(theory, un["theory"], un["rc"], un["names"], S, limit)
 
     def transpose_morphism(m):
         """Form(m) after the counit: each symbol goes to its pullback."""
-        rels = []
-        for n, a in theory.signature.rels:
-            V = frozenset(
-                i
-                for i, (x, t) in enumerate(rc.powers[a].points)
-                if t in target.mc.models[m.f0[x]].rel(n)
-            )
-            idx = rc.position(a, V, f"pullback of {n}")
-            rels.append(
-                (
-                    n,
-                    fic(
-                        [f"x{q}" for q in range(a)],
-                        Rel(names[(a, idx)], tuple(Var(f"x{q}") for q in range(a))),
-                    ),
-                )
-            )
-        funs = []
-        for n, a in theory.signature.funs:
-            V = frozenset(
-                i
-                for i, (x, t) in enumerate(rc.powers[a + 1].points)
-                if target.mc.models[m.f0[x]].fun(n).get(t[:a]) == t[a]
-            )
-            idx = rc.position(a + 1, V, f"pullback of the graph of {n}")
-            funs.append(
-                (
-                    n,
-                    fic(
-                        [f"x{q}" for q in range(a + 1)],
-                        Rel(names[(a + 1, idx)], tuple(Var(f"x{q}") for q in range(a + 1))),
-                    ),
-                )
-            )
-        return Interpretation(theory, form_theory, tuple(rels), tuple(funs))
+        return _transpose(theory, un, target.mc, m.f0)
 
     def transpose_interpretation(F):
         mod_F, _ = mod_on_interpretation(F, S, limit)  # Mod(T_B) -> Mod(theory)

@@ -26,7 +26,9 @@ from modform.duality import (
     check_triangle_identities,
     coherent_check,
     counit,
+    form_functor,
     mod_functor,
+    unit,
 )
 from modform.groupoid import TopGroupoid
 from modform.logic import EQUALITY_THEORY
@@ -165,10 +167,11 @@ def test_criterion_8_density():
 def test_criterion_9_duality_round_trip():
     t0 = time.time()
     S = IndexSet(2)
-    res = counit(EQUALITY_THEORY, S, 1, 3)
+    rc = form_functor(mod_functor(EQUALITY_THEORY, S), 1)
+    res = counit(rc, 3)
     counts_ok = res["object_counts"] == {0: (3, 3), 1: (2, 2)}
     bijection_ok = res["status"] == "verified"
-    tri = check_triangle_identities(EQUALITY_THEORY, S, 1)
+    tri = check_triangle_identities(unit(rc))
     ok = counts_ok and bijection_ok and tri["bottom"] and tri["top"]
     detail = (
         f"objects {res['object_counts'][0][0]},{res['object_counts'][1][0]} both sides; "

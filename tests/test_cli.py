@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from modform import checks, cli
+from modform import checks, cli, duality
 from modform.cli import (
     EXIT_FAIL,
     EXIT_GATED,
@@ -164,14 +164,14 @@ def test_dualize_failure_is_not_gated(monkeypatch):
 
 
 def test_dualize_unit_needs_every_preimage_identity(monkeypatch):
-    real = cli.check_triangle_identities
+    real = cli.unit
 
     def broken_identity(*args, **kwargs):
         res = real(*args, **kwargs)
-        res["unit"]["preimage_identities"][0]["ok"] = False
+        res["preimage_identities"][0]["ok"] = False
         return res
 
-    monkeypatch.setattr(cli, "check_triangle_identities", broken_identity)
+    monkeypatch.setattr(cli, "unit", broken_identity)
     code, result = run("dualize", dict(CFG, index_size=1), "rel P/1\n")
     assert result["unit_ok"] is False
     assert (code, result["status"]) == (EXIT_FAIL, "fail")
@@ -209,14 +209,16 @@ def test_help_exits_zero(capsys):
 def test_report_runs_each_suite_once(monkeypatch):
     calls = {}
 
-    def counted(owner, name):
-        real = getattr(owner, name)
+    def counted(name, *owners):
+        """Count the calls of `name` through every namespace that binds it."""
+        real = getattr(owners[0], name)
 
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, wrapper)
+        for owner in owners:
+            monkeypatch.setattr(owner, name, wrapper)
 
     for name in (
         "check_groupoid_axioms", "check_preimage_identities", "check_sobriety",
@@ -224,15 +226,41 @@ def test_report_runs_each_suite_once(monkeypatch):
         "check_density", "check_gun_subobjects", "check_basis_property",
         "check_fullness_on_subobjects", "check_conservativity", "check_iso_invariance",
     ):
-        counted(checks, name)
+        counted(name, checks)
     for name in (
-        "check_pullback_square", "counit", "unit", "check_triangle_identities",
-        "check_sem_conditions", "coherent_check", "check_reconstruction", "mod_functor",
+        "check_pullback_square", "counit", "check_triangle_identities",
+        "check_sem_conditions", "coherent_check", "check_reconstruction",
     ):
-        counted(cli, name)
+        counted(name, cli)
+    for name in ("unit", "mod_functor", "form_functor"):
+        counted(name, duality, cli)
+    counted("theory_view", duality)
     run("report", dict(CFG, index_size=1), "")
-    assert len(calls) == len(cli.SUITES) + 1
+    # Mod(T) once for the context and once for Mod(Form T) inside the unit
+    layers = {name: calls.pop(name) for name in ("mod_functor", "form_functor", "theory_view")}
+    assert layers == {"mod_functor": 2, "form_functor": 1, "theory_view": 1}
+    assert len(calls) == len(cli.SUITES)
     assert calls == dict.fromkeys(calls, 1)
+
+
+@pytest.mark.parametrize("text", ["axiom top |- [] bot\n", "rel P/1\naxiom top |- [] bot\n"])
+@pytest.mark.parametrize("command", ["report", "check"])
+def test_inconsistent_theory_triangles_and_reconstruction_are_vacuous(command, text):
+    # no models: Mod(T) is empty and Form(Mod T) is the degenerate category
+    code, result = run(command, dict(CFG, index_size=1), text, "all")
+    suites = (result["checks"] if command == "report" else result)["suites"]
+    assert suites["triangles"]["status"] == suites["reconstruction"]["status"] == "pass"
+    assert code in (EXIT_PASS, EXIT_GATED)
+
+
+@pytest.mark.parametrize("suite", ["unit", "triangles", "reconstruction"])
+def test_unit_suites_share_one_limit(suite, tmp_path, capsys):
+    # Mod(Form T) of P/1 at n=2 takes a 614-node model search
+    thy = tmp_path / "P1.thy"
+    thy.write_text("rel P/1\n")
+    argv = ["check", suite, "--index-size", "2", "--limit", "100", str(thy)]
+    assert main(argv) == EXIT_LIMIT
+    assert "limit exceeded" in capsys.readouterr().err
 
 
 def test_report_sections_equal_standalone_commands():

@@ -3,7 +3,6 @@ semantic-groupoid characterization, and the coherent conditions."""
 
 import pytest
 
-from modform import duality
 from modform.duality import (
     GroupoidOverS,
     check_counit_naturality,
@@ -48,6 +47,11 @@ SYM_E = "rel E/2\naxiom E(x,y) |- [x,y] E(y,x)"
 S2 = IndexSet(2)
 
 
+def form(theory):
+    """Form(Mod T) at |S| = 2 and k_max = 1."""
+    return form_functor(mod_functor(theory, S2), 1)
+
+
 def test_formula_search_counts_equality_theory():
     mc = model_class(EQUALITY_THEORY, S2)
     search = FormulaSearch(mc)
@@ -57,7 +61,7 @@ def test_formula_search_counts_equality_theory():
 
 
 def test_syntactic_category_equality_theory():
-    tc = syntactic_category(EQUALITY_THEORY, S2, 1, 3)
+    tc = syntactic_category(model_class(EQUALITY_THEORY, S2), 1, 3)
     assert tc.object_count(0) == 3
     assert tc.object_count(1) == 2
     assert len(tc.arrows[(0, 0)]) == 6
@@ -69,7 +73,7 @@ def test_syntactic_category_equality_theory():
 
 
 def test_syntactic_category_inconsistent_theory():
-    tc = syntactic_category(INCONSISTENT_THEORY, S2, 2, 2)
+    tc = syntactic_category(model_class(INCONSISTENT_THEORY, S2), 2, 2)
     for k in range(3):
         assert tc.object_count(k) == 1
     for j in range(3):
@@ -144,7 +148,7 @@ def test_pullback_of_empty_sheaf():
 def test_pullback_square_lemma():
     for text in ("", SYM_E):
         theory = parse_theory(text) if text else EQUALITY_THEORY
-        res = check_pullback_square(theory, S2, 1)
+        res = check_pullback_square(mod_functor(theory, S2), 1)
         assert res["status"] == "pass", res
 
 
@@ -196,30 +200,24 @@ def test_form_objects_at_level_zero_are_stable_opens_of_object_space():
 
 
 def test_counit_equality_theory():
-    res = counit(EQUALITY_THEORY, S2, 1, 3)
+    res = counit(form(EQUALITY_THEORY), 3)
     assert res["status"] == "verified"
     assert res["object_counts"] == {0: (3, 3), 1: (2, 2)}
     assert res["arrow_counts"][(0, 0)] == (6, 6)
     assert res["arrow_counts"][(1, 1)] == (3, 3)
 
 
-def test_counit_non_graph_is_an_invariant_error(monkeypatch):
+def test_counit_non_graph_is_an_invariant_error():
     # every definable functional relation is a stable-open graph, so a
     # relation category missing its graphs is a checker bug, not bad input
-    real = duality.form_functor
-
-    def without_graphs(gos, k_max):
-        rc = real(gos, k_max)
-        rc.arrows = {key: [] for key in rc.arrows}
-        return rc
-
-    monkeypatch.setattr(duality, "form_functor", without_graphs)
+    rc = form(EQUALITY_THEORY)
+    rc.arrows = {key: [] for key in rc.arrows}
     with pytest.raises(InvariantError, match="not a stable-open graph"):
-        counit(EQUALITY_THEORY, S2, 1, 3)
+        counit(rc, 3)
 
 
 def test_counit_bot_goes_to_empty():
-    res = counit(EQUALITY_THEORY, S2, 1, 3)
+    res = counit(form(EQUALITY_THEORY), 3)
     tc, rc = res["tc"], res["rc"]
     for k in (0, 1):
         for i, (f, fam) in enumerate(tc.objects[k]):
@@ -228,25 +226,24 @@ def test_counit_bot_goes_to_empty():
 
 
 def test_counit_inconsistent_theory():
-    res = counit(INCONSISTENT_THEORY, S2, 1, 3)
+    res = counit(form(INCONSISTENT_THEORY), 3)
     assert res["inconsistent"] and res["status"] == "verified"
 
 
 def test_counit_symmetric_theory():
     # depth 3 finds every object class but misses some arrow graphs, which
     # is reported as inconclusive at the bound; depth 4 completes the match
-    res3 = counit(parse_theory(SYM_E), S2, 1, 3)
+    res3 = counit(form(parse_theory(SYM_E)), 3)
     assert res3["status"] == "inconclusive"
     assert all(nt == nf for nt, nf in res3["object_counts"].values())
     assert all(not v for v in res3["unmatched_objects"].values())
-    res4 = counit(parse_theory(SYM_E), S2, 1, 4)
+    res4 = counit(form(parse_theory(SYM_E)), 4)
     assert res4["status"] == "verified"
     assert res4["object_counts"] == {0: (5, 5), 1: (7, 7)}
 
 
 def test_theory_view_and_unit_equality():
-    gos = mod_functor(EQUALITY_THEORY, S2)
-    un = unit(gos, 1)
+    un = unit(form(EQUALITY_THEORY))
     assert un["morphism_violations"] == []
     assert un["over_S"]
     assert all(r["ok"] for r in un["preimage_identities"])
@@ -255,8 +252,7 @@ def test_theory_view_and_unit_equality():
 
 
 def test_unit_empty_groupoid():
-    gos = mod_functor(INCONSISTENT_THEORY, S2)
-    rc = form_functor(gos, 1)
+    rc = form(INCONSISTENT_THEORY)
     theory, names = theory_view(rc)
     mc = model_class(theory, S2)
     assert mc.models == []
@@ -270,7 +266,7 @@ def test_unit_one_object_groupoid():
     g = TopGroupoid(obj, arr, (0,), (0,), (0,), (0,), {(0, 0): 0})
     gos = GroupoidOverS(g, smc, (m0,), (smc.identity_of[m0],))
     assert gos.check() == []
-    un = unit(gos, 1)
+    un = unit(form_functor(gos, 1))
     assert un["morphism_violations"] == []
     target_model = un["target"].mc.models[un["morphism"].f0[0]]
     assert target_model.domain == (0,)
@@ -280,15 +276,16 @@ def test_unit_one_object_groupoid():
 def test_triangle_identities():
     for text in ("", SYM_E):
         theory = parse_theory(text) if text else EQUALITY_THEORY
-        res = check_triangle_identities(theory, S2, 1)
+        res = check_triangle_identities(unit(form(theory)))
         assert res["bottom"] and res["top"], text
         assert res["preimage_report_ok"]
 
 
 def test_triangles_inconsistent_vacuous():
-    gos = mod_functor(INCONSISTENT_THEORY, S2)
-    rc = form_functor(gos, 1)
+    rc = form(INCONSISTENT_THEORY)
     assert rc.inconsistent  # the triangle identities degenerate by definition
+    res = check_triangle_identities(unit(rc))
+    assert res["bottom"] and res["top"]
 
 
 def test_strong_fullness_of_mod():
@@ -382,7 +379,7 @@ def test_unit_naturality():
 
 
 def test_reconstruction():
-    res = check_reconstruction(EQUALITY_THEORY, S2, 1, 3)
+    res = check_reconstruction(unit(form(EQUALITY_THEORY)), 3)
     assert res["status"] == "pass"
     assert res["object_round_trip"]
 
@@ -417,10 +414,9 @@ def test_hom_bijection_mod_groupoid():
 
 
 def test_counit_interpretation_is_valid():
-    from modform.duality import _counit_interpretation
     from modform.models import check_interpretation
 
     t = parse_theory(SYM_E)
-    tri = check_triangle_identities(t, S2, 1)
+    tri = check_triangle_identities(unit(form(t)))
     eps = tri["counit_interpretation"]
     assert check_interpretation(eps, S2) == []

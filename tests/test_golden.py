@@ -40,6 +40,12 @@ CASES = [
      "459ae8aa7a18fb8984a128bfce40e36a5a81e91b0a8f8865eb76388220509bf6"),
     ("symE", ["report", "--index-size", "1"], 0,
      "9c5884980e228a594dd209f0b2de9fc21ff9bed55469f991c3f1c8a57a177452"),
+    ("symE", ["dualize", "--index-size", "2"], 2,
+     "8fe7d7753622e79351be3f8a35eff1d47630bc42f32134459b6fbdca6d9187bc"),
+    ("symE", ["check", "reconstruction", "--index-size", "2"], 0,
+     "7a6ac808d71b3d037841aec3f78c53dfa45af04d0e1da6632627e7de1cf0683c"),
+    ("P1", ["check", "triangles", "--index-size", "2"], 0,
+     "8f60f19b2446f1e9a3eb05c96440a889cbcea566b3b98c7b72a098f41d47a9ba"),
 ]
 
 
