@@ -19,6 +19,7 @@ from .sheaves import (
     definable_sheaf,
     density_certificate,
     lift_section,
+    lift_shortfall,
     moerdijk_sheaf,
     stable_opens_of_site,
 )
@@ -194,11 +195,7 @@ def check_stabilization(mc: ModelClass, depth=2, ctx_max=1, y_max=1):
                         closed = conjunction_with_exists(
                             phi, [f"x{k + i}" for i in range(m)], psi.formula
                         )
-                        target = frozenset(
-                            i
-                            for i, (mi, t) in enumerate(sheaf.points)
-                            if t in mc.ext(mi, closed)
-                        )
+                        target = sheaf.where(lambda x: mc.ext(x, closed))
                         if stab == target:
                             verified += 1
                             continue
@@ -281,16 +278,7 @@ def check_guns(mc: ModelClass, depth=2, ctx_max=1):
                 if hat.is_isomorphism():
                     verified += 1
                     continue
-                missing = sorted(set(range(len(sheaf.points))) - set(hat.point_map))
-                explained = True
-                for i in missing:
-                    mi, t = sheaf.points[i]
-                    M = mc.models[mi]
-                    reps = tuple(
-                        next(x for x in M.domain if M.block_key(x) == key) for key in t
-                    )
-                    if star_headroom(M, reps, a, mc.S):
-                        explained = False
+                _, explained = lift_shortfall(mc, hat, a)
                 (gated if explained else failures).append(
                     (str(phi), a, "headroom" if explained else "not an isomorphism")
                 )
@@ -401,11 +389,7 @@ def check_fullness_on_subobjects(mc: ModelClass, depth=3, ctx_max=1):
             definable_sets = set()
             for psi, psifam in search.classes(k, depth):
                 meet = tuple(a & b for a, b in zip(fam, psifam))
-                definable_sets.add(
-                    frozenset(
-                        i for i, (mi, t) in enumerate(sheaf.points) if t in meet[mi]
-                    )
-                )
+                definable_sets.add(sheaf.where(meet.__getitem__))
             for V in sheaf.stable_opens():
                 if V in definable_sets:
                     verified += 1

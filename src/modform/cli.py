@@ -224,11 +224,8 @@ def _command_sheaf(ctx, formula_text):
     f = parse_formula_in_context(formula_text, ctx.theory.signature)
     sheaf = definable_sheaf(mc, f)
     violations = sheaf.check_invariants()
-    fibers = {}
-    for i in range(len(mc.models)):
-        fibers[str(i)] = sorted(
-            [list(t) for p, (m, t) in enumerate(sheaf.points) if m == i]
-        )
+    over = sheaf.tuples_over(range(len(sheaf.points)))
+    fibers = {str(i): sorted(map(list, ts)) for i, ts in enumerate(over)}
     return {
         "formula": str(f),
         "points": len(sheaf.points),

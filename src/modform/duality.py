@@ -51,7 +51,13 @@ from .models import (
     model_class,
 )
 from .search import FormulaSearch, functional_families
-from .sheaves import EquivariantSheaf, definable_sheaf, stable_open_lattice
+from .sheaves import (
+    EquivariantSheaf,
+    TupleSheaf,
+    definable_sheaf,
+    stable_open_lattice,
+    tuple_sheaf,
+)
 from .topology import (
     BasicOpenI,
     BasicOpenM,
@@ -111,45 +117,18 @@ def mod_functor(theory, S, limit=None):
 # powers of the generic object
 
 
-def u_power(gos: GroupoidOverS, k) -> EquivariantSheaf:
-    """The k-fold fiberwise power of the pullback of the generic object.
-
-    Points are (object, k-tuple of blocks of its carrier).  The topology is
-    generated by projection preimages and one section per index tuple; the
-    action applies the underlying set bijection coordinatewise.
-    """
-    if k in gos.powers:
-        return gos.powers[k]
-    g = gos.groupoid
-    points = []
-    for x in range(g.objects.size):
-        A = gos.carrier(x)
-        for t in itertools.product(A.keys, repeat=k):
-            points.append((x, t))
-    index = {p: i for i, p in enumerate(points)}
-    sub = []
-    for name, pts in g.objects.subbasis:
-        sub.append((f"p1{name}", frozenset(i for i, (x, _) in enumerate(points) if x in pts)))
-    S = gos.s_mc.S
-    for params in itertools.product(S.elements(), repeat=k):
-        img = set()
-        for i, (x, t) in enumerate(points):
-            A = gos.carrier(x)
-            if all(A.has(p) for p in params) and t == tuple(A.block_key(p) for p in params):
-                img.add(i)
-        label = ",".join(map(str, params)) or "*"
-        sub.append((f"s[{label}]", frozenset(img)))
-    space = FinSpace(len(points), sub)
-    r = tuple(x for x, _ in points)
-    act = {}
-    for a in range(g.arrows.size):
-        iso = gos.s_mc.isos[gos.f1[a]]
-        for i, (x, t) in enumerate(points):
-            if x == g.d[a]:
-                act[(a, i)] = index[(g.c[a], iso.apply_tuple(t))]
-    sheaf = EquivariantSheaf(g, points, space, r, act, mc=gos.mc)
-    gos.powers[k] = sheaf
-    return sheaf
+def u_power(gos: GroupoidOverS, k) -> TupleSheaf:
+    """The k-fold fiberwise power of the pullback of the generic object:
+    the tuple sheaf of all k-tuples of blocks of each object's carrier,
+    acted on by the underlying set bijections."""
+    if k not in gos.powers:
+        g = gos.groupoid
+        carriers = [gos.carrier(x) for x in range(g.objects.size)]
+        gos.powers[k] = tuple_sheaf(
+            g, carriers, [gos.s_mc.isos[h] for h in gos.f1], k,
+            lambda x: itertools.product(carriers[x].keys, repeat=k), gos.s_mc.S, gos.mc,
+        )
+    return gos.powers[k]
 
 
 def pullback_sheaf(m: GroupoidMorphism, sheaf: EquivariantSheaf) -> EquivariantSheaf:
@@ -214,16 +193,6 @@ class RelationCategory:
             raise InvariantError(f"{what} is not a stable open at level {k}")
         return i
 
-    def fiber(self, k, obj_idx, x):
-        """The fiber of an object over a groupoid object, as block tuples."""
-        sheaf = self.powers[k]
-        out = set()
-        for i in self.objects[k][obj_idx]:
-            px, t = sheaf.points[i]
-            if px == x:
-                out.add(t)
-        return frozenset(out)
-
 
 def form_functor(gos: GroupoidOverS, k_max) -> RelationCategory:
     """The relation category on the pullback of the generic object."""
@@ -237,20 +206,13 @@ def form_functor(gos: GroupoidOverS, k_max) -> RelationCategory:
         rc.index[k] = {V: i for i, V in enumerate(rc.levels[k])}
     for k in range(k_max + 1):
         rc.objects[k] = rc.levels[k]
+    over = {k: [rc.powers[k].tuples_over(V) for V in rc.objects[k]] for k in rc.objects}
     for j in range(k_max + 1):
         for k in range(k_max + 1):
             pairs = []
             sheaf = rc.powers[j + k]
-            for si, src in enumerate(rc.objects[j]):
-                src_fibers = {}
-                for i in src:
-                    x, t = rc.powers[j].points[i]
-                    src_fibers.setdefault(x, set()).add(t)
-                for di, dst in enumerate(rc.objects[k]):
-                    dst_fibers = {}
-                    for i in dst:
-                        x, t = rc.powers[k].points[i]
-                        dst_fibers.setdefault(x, set()).add(t)
+            for si, src_fibers in enumerate(over[j]):
+                for di, dst_fibers in enumerate(over[k]):
                     for graph in rc.levels[j + k]:
                         if _graph_functional(sheaf, graph, src_fibers, dst_fibers, j, k, g):
                             pairs.append((si, di, graph))
@@ -271,10 +233,10 @@ def _graph_functional(sheaf, graph, src_fibers, dst_fibers, j, k, g):
         x, t = sheaf.points[i]
         per_x.setdefault(x, []).append((t[:j], t[j:]))
     for x in range(g.objects.size):
-        src = src_fibers.get(x, set())
+        src = src_fibers[x]
         seen = {}
         for s, d in per_x.get(x, []):
-            if s not in src or d not in dst_fibers.get(x, set()):
+            if s not in src or d not in dst_fibers[x]:
                 return False
             if s in seen and seen[s] != d:
                 return False
@@ -346,16 +308,6 @@ def semantic_quotient(theory, S, limit=None):
 # counit
 
 
-def definable_point_set(rc: RelationCategory, k, family):
-    """A per-model extension family as a point set of the k-th power."""
-    sheaf = rc.powers[k]
-    out = set()
-    for i, (x, t) in enumerate(sheaf.points):
-        if t in family[x]:
-            out.add(i)
-    return frozenset(out)
-
-
 def counit(rc: RelationCategory, depth):
     """The functor from the syntactic category of T to rc = Form(Mod T)
     sending a formula class to its extension sheaf, with an isomorphism
@@ -385,7 +337,7 @@ def counit(rc: RelationCategory, depth):
     for k in range(k_max + 1):
         mapped = []
         for (f, fam) in tc.objects[k]:
-            pts = definable_point_set(rc, k, fam)
+            pts = rc.powers[k].where(fam.__getitem__)
             mapped.append(rc.position(k, pts, f"definable extension of {f}"))
         object_map[k] = mapped
         missed = sorted(set(range(len(rc.objects[k]))) - set(mapped))
@@ -401,7 +353,7 @@ def counit(rc: RelationCategory, depth):
         for k in range(k_max + 1):
             tc_arrows = set()
             for si, di, f, fam in tc.arrows[(j, k)]:
-                pts = definable_point_set(rc, j + k, fam)
+                pts = rc.powers[j + k].where(fam.__getitem__)
                 tc_arrows.add((object_map[j][si], object_map[k][di], pts))
             rc_arrows = {(si, di, graph) for si, di, graph in rc.arrows[(j, k)]}
             arrow_counts[(j, k)] = (len(tc_arrows), len(rc_arrows))
@@ -457,7 +409,6 @@ def theory_view(rc: RelationCategory):
         for i in order:
             rels.append((names[(k, i)], k))
     sig = Signature(tuple(rels), ())
-    sheaves = rc.powers
 
     def atom(k, i):
         return Rel(names[(k, i)], tuple(Var(f"x{m}") for m in range(k)))
@@ -475,7 +426,7 @@ def theory_view(rc: RelationCategory):
             axioms.append(s)
 
     for k, lvl in sorted(rc.levels.items()):
-        full = frozenset(range(len(sheaves[k].points)))
+        full = frozenset(range(len(rc.powers[k].points)))
         empty = frozenset()
         add(ctx(k), TOP, atom(k, rc.index[k][full]))
         add(ctx(k), atom(k, rc.index[k][full]), TOP)
@@ -504,42 +455,35 @@ def theory_view(rc: RelationCategory):
                 join = V | W
                 add(ctx(k), Or((atom(k, i), atom(k, j))), atom(k, rc.index[k][join]))
                 add(ctx(k), atom(k, rc.index[k][join]), Or((atom(k, i), atom(k, j))))
-    # diagonals
-    for k, lvl in sorted(rc.levels.items()):
+    # diagonals, projections of the last coordinate and substitution
+    # instances: each symbol is the category's own value of the formula
+    names_inv = {name: key for key, name in names.items()}
+
+    def value(k, phi, what):
+        V = eval_in_category(rc, names_inv, phi, {f"x{m}": m for m in range(k)}, k)
+        return rc.position(k, V, what)
+
+    for k in sorted(rc.levels):
         for a in range(k):
             for b in range(a + 1, k):
-                diag = frozenset(
-                    i for i, (x, t) in enumerate(sheaves[k].points) if t[a] == t[b]
-                )
-                i = rc.position(k, diag, "diagonal")
                 eq = Eq(Var(f"x{a}"), Var(f"x{b}"))
+                i = value(k, eq, "diagonal")
                 add(ctx(k), atom(k, i), eq)
                 add(ctx(k), eq, atom(k, i))
-    # projections of the last coordinate
     for k in sorted(rc.levels):
         if k + 1 not in rc.levels:
             continue
-        pw, pw1 = sheaves[k], sheaves[k + 1]
-        for i, V in enumerate(rc.levels[k + 1]):
-            proj = frozenset(pw.point_index[(x, t[:k])] for x, t in (pw1.points[p] for p in V))
-            j = rc.position(k, proj, "projection image")
+        for i in range(len(rc.levels[k + 1])):
             ex = Exists(f"x{k}", Rel(names[(k + 1, i)], tuple(Var(f"x{m}") for m in range(k + 1))))
+            j = value(k, ex, "projection image")
             add(ctx(k), atom(k, j), ex)
             add(ctx(k), ex, atom(k, j))
-    # substitution instances
     for k in sorted(rc.levels):
         for m in sorted(rc.levels):
             for sigma in itertools.product(range(m), repeat=k):
-                pw_k, pw_m = sheaves[k], sheaves[m]
-                for i, V in enumerate(rc.levels[k]):
-                    Vset = set(V)
-                    inst = frozenset(
-                        p
-                        for p, (x, t) in enumerate(pw_m.points)
-                        if pw_k.point_index[(x, tuple(t[s] for s in sigma))] in Vset
-                    )
-                    j = rc.position(m, inst, "substitution instance")
+                for i in range(len(rc.levels[k])):
                     sub_atom = Rel(names[(k, i)], tuple(Var(f"x{s}") for s in sigma))
+                    j = value(m, sub_atom, "substitution instance")
                     add(ctx(m), atom(m, j), sub_atom)
                     add(ctx(m), sub_atom, atom(m, j))
     return Theory(sig, tuple(axioms), "Form-theory"), names
@@ -565,20 +509,13 @@ def unit(rc: RelationCategory, limit=None):
     target = mod_functor(theory, S, limit)
     mc_B = target.mc
     g = gos.groupoid
+    # over[(k, i)][x]: the tuples of symbol (k, i) over object x
+    over = {key: rc.powers[key[0]].tuples_over(rc.levels[key[0]][key[1]]) for key in names}
     eta0 = []
     for x in range(g.objects.size):
         A = gos.carrier(x)
-        rels = {}
-        for (k, i), name in names.items():
-            sheaf = rc.powers[k]
-            got = set()
-            for p in rc.levels[k][i]:
-                px, t = sheaf.points[p]
-                if px == x:
-                    got.add(t)
-            rels[name] = frozenset(got)
-        M_x = IndexedStructure(A.domain, A.blocks, rels, {})
-        eta0.append(mc_B.find_model(M_x))
+        rels = {name: over[key][x] for key, name in names.items()}
+        eta0.append(mc_B.find_model(IndexedStructure(A.domain, A.blocks, rels, {})))
     eta1 = []
     for a in range(g.arrows.size):
         iso = gos.s_mc.isos[gos.f1[a]]
@@ -597,20 +534,15 @@ def unit(rc: RelationCategory, limit=None):
     for (k, i), name in sorted(names.items()):
         if k > rc.k_max:
             continue
+        sheaf = rc.powers[k]
         for params in itertools.product(S_elems, repeat=k):
             direct = frozenset(
                 x
                 for x in range(g.objects.size)
                 if all(gos.carrier(x).has(p) for p in params)
-                and tuple(gos.carrier(x).block_key(p) for p in params) in rc.fiber(k, i, x)
+                and tuple(gos.carrier(x).block_key(p) for p in params) in over[(k, i)][x]
             )
-            sheaf = rc.powers[k]
-            section = frozenset(
-                p
-                for p, (x, t) in enumerate(sheaf.points)
-                if all(gos.carrier(x).has(q) for q in params)
-                and t == tuple(gos.carrier(x).block_key(q) for q in params)
-            )
+            section = sheaf.section_image(params)
             via_sheaf = frozenset(sheaf.r[p] for p in (rc.levels[k][i] & section))
             identity_report.append(
                 {"symbol": name, "params": params, "ok": direct == via_sheaf}
@@ -640,8 +572,7 @@ def _transpose(theory, un, mc, f0):
 
     def image(n, phi):
         k = len(phi)
-        ext = {m: mc.ext(m, phi) for m in set(f0)}
-        V = frozenset(i for i, (x, t) in enumerate(rc.powers[k].points) if t in ext[f0[x]])
+        V = rc.powers[k].where(lambda x: mc.ext(f0[x], phi))
         return n, _symbol(names, k, rc.position(k, V, f"extension of {n}"))
 
     symbols = identity_interpretation(theory)
@@ -651,6 +582,20 @@ def _transpose(theory, un, mc, f0):
         tuple(image(*e) for e in symbols.rel_map),
         tuple(image(*e) for e in symbols.fun_map),
     )
+
+
+def _check_levels(theory, rc: RelationCategory):
+    """A relation symbol of arity a is a stable open at power level a, and a
+    function symbol of arity a a graph at level a + 1; levels stop at
+    2 * k_max, so a larger arity is out of the computed range."""
+    for kind, symbols, extra in (("relation", theory.signature.rels, 0),
+                                 ("function", theory.signature.funs, 1)):
+        for n, a in symbols:
+            if a + extra not in rc.levels:
+                raise LimitExceeded(
+                    f"{kind} {n}/{a} needs power level {a + extra}, but --kmax {rc.k_max} "
+                    f"computes levels up to {2 * rc.k_max}"
+                )
 
 
 def check_triangle_identities(un, limit=None):
@@ -669,12 +614,7 @@ def check_triangle_identities(un, limit=None):
         return {"bottom": True, "top": True, "top_failures": [],
                 "counit_interpretation": None, "preimage_report_ok": True}
     theory = gos.mc.theory
-    for n, a in theory.signature.rels:
-        if a not in rc.levels:
-            raise SignatureError(f"relation arity {a} exceeds the level bound")
-    for n, a in theory.signature.funs:
-        if a + 1 not in rc.levels:
-            raise SignatureError(f"function arity {a} exceeds the level bound")
+    _check_levels(theory, rc)
     eps = _transpose(theory, un, gos.mc, range(len(gos.mc.models)))
     mod_eps, report = mod_on_interpretation(eps, gos.s_mc.S, limit)
     composite = mod_eps.compose(morphism)
@@ -684,13 +624,9 @@ def check_triangle_identities(un, limit=None):
     mc_B = un["target"].mc
     failures = []
     for k in sorted(rc.levels):
-        sheaf = rc.powers[k]
         for i, V in enumerate(rc.levels[k]):
             phi = _symbol(un["names"], k, i)
-            pulled = frozenset(
-                p for p, (x, t) in enumerate(sheaf.points) if t in mc_B.ext(morphism.f0[x], phi)
-            )
-            if pulled != V:
+            if rc.powers[k].where(lambda x: mc_B.ext(morphism.f0[x], phi)) != V:
                 failures.append((k, i))
     return {
         "bottom": bottom,
@@ -764,15 +700,8 @@ def check_counit_naturality(interp, S, k_max, depth, limit=None):
             fam_t = tuple(
                 gos_dst.mc.ext(m, translated) for m in range(len(gos_dst.mc.models))
             )
-            lhs = definable_point_set(rc_dst, k, fam_t)
-            eps_src = definable_point_set(rc_src, k, fam)
-            src_sheaf = rc_src.powers[k]
-            dst_sheaf = rc_dst.powers[k]
-            rhs = frozenset(
-                i
-                for i, (x, t) in enumerate(dst_sheaf.points)
-                if src_sheaf.point_index[(morphism.f0[x], t)] in eps_src
-            )
+            lhs = rc_dst.powers[k].where(fam_t.__getitem__)
+            rhs = rc_dst.powers[k].where(lambda x: fam[morphism.f0[x]])
             checked += 1
             if lhs != rhs:
                 failures.append(str(phi))
@@ -785,14 +714,8 @@ def form_interpretation(rc_src: RelationCategory, names_src, rc_dst: RelationCat
     relation-category theories: each relation object pulls back."""
     rels = []
     for (k, i), name in sorted(names_src.items()):
-        V = rc_src.levels[k][i]
-        src_sheaf = rc_src.powers[k]
-        dst_sheaf = rc_dst.powers[k]
-        pulled = frozenset(
-            p
-            for p, (x, t) in enumerate(dst_sheaf.points)
-            if src_sheaf.point_index[(morphism.f0[x], t)] in V
-        )
+        over = rc_src.powers[k].tuples_over(rc_src.levels[k][i])
+        pulled = rc_dst.powers[k].where(lambda x: over[morphism.f0[x]])
         j = rc_dst.position(k, pulled, f"pullback of {name}")
         rels.append((name, _symbol(names_dst, k, j)))
     return Interpretation(theory_src, theory_dst, tuple(rels), ())
@@ -828,26 +751,19 @@ def eval_in_category(rc: RelationCategory, names_inv, phi, positions, ctx_len):
     the existential is the projection image.  positions maps variable names
     to coordinates of the current context."""
     sheaf = rc.powers[ctx_len]
-    full = frozenset(range(len(sheaf.points)))
     if isinstance(phi, Bot):
         return frozenset()
     if isinstance(phi, Top):
-        return full
+        return frozenset(range(len(sheaf.points)))
     if isinstance(phi, Eq):
-        a, b = positions[phi.left.name], positions[phi.right.name]
-        return frozenset(i for i, (x, t) in enumerate(sheaf.points) if t[a] == t[b])
+        coords = (positions[phi.left.name], positions[phi.right.name])
+        return sheaf.where(lambda x: {(u, u) for u in sheaf.carriers[x].keys}, coords)
     if isinstance(phi, Rel):
         k, idx = names_inv[phi.name]
-        V = rc.levels[k][idx]
-        base = rc.powers[k]
-        sigma = tuple(positions[a.name] for a in phi.args)
-        return frozenset(
-            i
-            for i, (x, t) in enumerate(sheaf.points)
-            if base.point_index[(x, tuple(t[s] for s in sigma))] in V
-        )
+        over = rc.powers[k].tuples_over(rc.levels[k][idx])
+        return sheaf.where(over.__getitem__, tuple(positions[a.name] for a in phi.args))
     if isinstance(phi, And):
-        out = full
+        out = frozenset(range(len(sheaf.points)))
         for p in phi.parts:
             out &= eval_in_category(rc, names_inv, p, positions, ctx_len)
         return out
@@ -1125,16 +1041,11 @@ def enumerate_interpretations(theory, form_theory, rc: RelationCategory, names, 
     """All interpretations of a theory into a relation-category theory with
     atomic stable-open images, validated semantically."""
     limit = DEFAULT_LIMIT if limit is None else limit
-    rel_options = []
-    for n, a in theory.signature.rels:
-        if a not in rc.levels:
-            raise SignatureError(f"relation arity {a} exceeds the level bound")
-        rel_options.append([(n, a, i) for i in range(len(rc.levels[a]))])
-    fun_options = []
-    for n, a in theory.signature.funs:
-        if a + 1 not in rc.levels:
-            raise SignatureError(f"function arity {a} exceeds the level bound")
-        fun_options.append([(n, a, i) for i in range(len(rc.levels[a + 1]))])
+    _check_levels(theory, rc)
+    rel_options = [[(n, a, i) for i in range(len(rc.levels[a]))] for n, a in theory.signature.rels]
+    fun_options = [
+        [(n, a, i) for i in range(len(rc.levels[a + 1]))] for n, a in theory.signature.funs
+    ]
     out = []
     for rel_pick in itertools.product(*rel_options):
         for fun_pick in itertools.product(*fun_options):

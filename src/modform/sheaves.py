@@ -21,7 +21,6 @@ from .topology import (
     BasicOpenI,
     BasicOpenM,
     FinSpace,
-    atomic_subbasis,
     basic_open_arrows,
     basic_open_points,
     bits,
@@ -51,9 +50,6 @@ class EquivariantSheaf:
 
     def __len__(self):
         return len(self.points)
-
-    def fiber(self, obj):
-        return [i for i, o in enumerate(self.r) if o == obj]
 
     def apply(self, arrow, pidx):
         if self.r[pidx] != self.base.d[arrow]:
@@ -116,10 +112,6 @@ class EquivariantSheaf:
                         frontier.append(q)
         return frozenset(out)
 
-    def is_stable(self, subset):
-        subset = frozenset(subset)
-        return self.stabilize(subset) == subset
-
     def least_stable_opens(self):
         """The least stable open set around each point, as a set of
         bitmasks: what a point reaches through minimal neighbourhoods and
@@ -170,27 +162,89 @@ class SheafMorphism:
 
 
 # ---------------------------------------------------------------------------
-# definable sheaves
+# sheaves of tuples: powers of the generic object and definable sheaves
 
 
-class DefinableSheaf(EquivariantSheaf):
+class TupleSheaf(EquivariantSheaf):
+    """A sheaf of block tuples: its points are (x, t) with t a tuple of block
+    keys of carriers[x], the indexed set over object x; the points of each
+    object are contiguous and sorted.  tuple_sheaf gives it its action and
+    topology."""
+
+    def __init__(self, base, carriers, points, mc=None):
+        super().__init__(base, points, None, (x for x, _ in points), {}, mc=mc)
+        self.carriers = carriers
+        self.by_object = fibers(self.r, range(len(self.points)))
+
+    def section_image(self, params):
+        """The image of the section at an index tuple: over each object
+        whose carrier has the parameters, the point of their blocks."""
+        out = set()
+        for x, A in enumerate(self.carriers):
+            if all(A.has(p) for p in params):
+                n = self.point_index.get((x, tuple(A.block_key(p) for p in params)))
+                if n is not None:
+                    out.add(n)
+        return frozenset(out)
+
+    def where(self, F, coords=None):
+        """The points (x, t) whose tuple lies in F(x), or, given coords,
+        whose entries at those coordinates do; F is called once per object."""
+        points = self.points
+        out = []
+        for x, ns in self.by_object.items():
+            want = F(x)
+            if coords is None:
+                out += [n for n in ns if points[n][1] in want]
+            else:
+                out += [n for n in ns if tuple([points[n][1][c] for c in coords]) in want]
+        return frozenset(out)
+
+    def tuples_over(self, V):
+        """The tuples of the points of V over each object, as a list indexed
+        by object."""
+        out = [set() for _ in range(self.base.objects.size)]
+        for n in V:
+            x, t = self.points[n]
+            out[x].add(t)
+        return [frozenset(ts) for ts in out]
+
+
+def tuple_sheaf(base, carriers, isos, k, tuples, S, mc=None, cls=TupleSheaf, **fields):
+    """The sheaf of k-tuples tuples(x) over each object x of base.
+
+    Topology: coarsest with continuous projection and open section images;
+    the subbasis is the projection preimages (p1...) of base's object
+    subbasis together with one section image s[...] per k-tuple of S.  Arrow
+    a acts by isos[a].apply_tuple.  cls (TupleSheaf or a subclass taking the
+    keyword fields) is the class built.
+    """
+    points = [(x, t) for x in range(base.objects.size) for t in sorted(tuples(x))]
+    sheaf = cls(base, carriers, points, mc, **fields)
+    # the action and the topology read the sheaf's own point index, fibers
+    # and section images, so they are filled in once it exists
+    over = sheaf.by_object
+    for a in range(base.arrows.size):
+        iso, c = isos[a], base.c[a]
+        for n in over.get(base.d[a], ()):
+            sheaf.act[(a, n)] = sheaf.point_index[(c, iso.apply_tuple(points[n][1]))]
+    sub = [
+        (f"p1{name}", frozenset(n for x in sorted(pts) for n in over.get(x, ())))
+        for name, pts in base.objects.subbasis
+    ]
+    for params in itertools.product(S.elements(), repeat=k):
+        sub.append((f"s[{','.join(map(str, params)) or '*'}]", sheaf.section_image(params)))
+    sheaf.space = FinSpace(len(points), sub)
+    return sheaf
+
+
+class DefinableSheaf(TupleSheaf):
     """The extension family of a formula-in-context with the application
     action; points are (model index, tuple of block keys)."""
 
-    def __init__(self, mc: ModelClass, formula, base, points, space, r, act):
-        super().__init__(base, points, space, r, act, mc=mc)
+    def __init__(self, base, carriers, points, mc, formula):
+        super().__init__(base, carriers, points, mc)
         self.formula = formula
-
-    def section_image(self, params):
-        """The image of the section at an index tuple: all points whose
-        coordinates are the blocks of the parameters."""
-        out = set()
-        for i, M in enumerate(self.mc.models):
-            if all(M.has(p) for p in params):
-                key = (i, tuple(M.block_key(p) for p in params))
-                if key in self.point_index:
-                    out.add(self.point_index[key])
-        return frozenset(out)
 
     def basic_open(self, psi, params):
         """The basic open <[x,y|psi], b>: points whose model satisfies psi
@@ -210,44 +264,16 @@ class DefinableSheaf(EquivariantSheaf):
 
 
 def definable_sheaf(mc: ModelClass, f) -> DefinableSheaf:
-    """Materialize the definable sheaf of a formula-in-context.
-
-    Topology: coarsest with continuous projection and open section images;
-    the subbasis is projection preimages of the atomic opens together with
-    one section image per parameter tuple.  Built once per formula and kept
-    in the class's sheaf table.
-    """
+    """The definable sheaf of a formula-in-context: the tuple sheaf of its
+    extensions over the model groupoid.  Built once per formula and kept in
+    the class's sheaf table."""
     hit = mc._sheaves.get(f)
-    if hit is not None:
-        return hit
-    g = build_model_groupoid(mc)
-    k = len(f)
-    points = []
-    for i in range(len(mc.models)):
-        for t in sorted(mc.ext(i, f)):
-            points.append((i, t))
-    index = {p: n for n, p in enumerate(points)}
-    r = tuple(i for i, _ in points)
-    sub = []
-    for name, pts, _ in atomic_subbasis(mc):
-        sub.append((f"p1{name}", frozenset(n for n, (i, _) in enumerate(points) if i in pts)))
-    for params in itertools.product(mc.S.elements(), repeat=k):
-        img = set()
-        for n, (i, t) in enumerate(points):
-            M = mc.models[i]
-            if all(M.has(p) for p in params) and t == tuple(M.block_key(p) for p in params):
-                img.add(n)
-        label = ",".join(map(str, params)) or "*"
-        sub.append((f"s[{label}]", frozenset(img)))
-    space = FinSpace(len(points), sub)
-    act = {}
-    for j in range(g.arrows.size):
-        iso = mc.isos[j]
-        for n, (i, t) in enumerate(points):
-            if i == mc.iso_dom[j]:
-                act[(j, n)] = index[(mc.iso_cod[j], iso.apply_tuple(t))]
-    sheaf = mc._sheaves[f] = DefinableSheaf(mc, f, g, points, space, r, act)
-    return sheaf
+    if hit is None:
+        hit = mc._sheaves[f] = tuple_sheaf(
+            build_model_groupoid(mc), mc.models, mc.isos, len(f),
+            lambda i: mc.ext(i, f), mc.S, mc, DefinableSheaf, formula=f,
+        )
+    return hit
 
 
 def conjunction_with_exists(f, psi_context, psi):
@@ -593,6 +619,21 @@ def rewrite_symmetric(mc: ModelClass, v: BasicOpenI, model_idx):
     return result
 
 
+def lift_shortfall(mc: ModelClass, hat: SheafMorphism, params):
+    """Diagnose a section lift at params that is not onto its sheaf: the
+    sorted points it misses, and whether index headroom explains them all,
+    that is, no missing point (at one representative of each of its
+    blocks) has star headroom towards params."""
+    missing = sorted(set(range(len(hat.dst.points))) - set(hat.point_map))
+    for p in missing:
+        x, t = hat.dst.points[p]
+        M = mc.models[x]
+        reps = tuple(next(e for e in M.domain if M.block_key(e) == key) for key in t)
+        if star_headroom(M, reps, params, mc.S):
+            return missing, False
+    return missing, True
+
+
 def _subset_order(domain):
     elems = sorted(domain)
     for size in range(len(elems) + 1):
@@ -658,15 +699,7 @@ def density_certificate(mc: ModelClass, site: MoerdijkSiteObject, class_idx):
                 "preimage": preimage,
                 "element": class_idx,
             }
-        # diagnose the gate: some point of D has no arrow reaching it
-        missing = sorted(set(range(len(D.points))) - set(hat.point_map))
-        gate_ok = True
-        for pidx in missing:
-            (li, t) = D.points[pidx]
-            L = mc.models[li]
-            reps = tuple(next(x for x in L.domain if L.block_key(x) == key) for key in t)
-            if star_headroom(L, reps, params, mc.S):
-                gate_ok = False
+        missing, gate_ok = lift_shortfall(mc, hat, params)
         attempts.append(
             {
                 "params": params,

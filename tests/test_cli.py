@@ -276,3 +276,28 @@ def test_report_sections_equal_standalone_commands():
     ):
         _, alone = run(command, cfg, text, "all" if command == "check" else None)
         assert cli._jsonable(report[section]) == cli._jsonable(alone), section
+
+
+@pytest.mark.parametrize(
+    "text,argv",
+    [
+        ("rel R/3\n", ["check", "triangles"]),
+        ("rel R/3\n", ["dualize"]),
+        ("rel R/3\n", ["report"]),
+        ("fun f/2\n", ["check", "triangles"]),
+    ],
+)
+def test_arity_above_the_power_levels_is_a_limit(text, argv, tmp_path, capsys):
+    # R/3 needs power level 3 and f/2 a graph at level 3; --kmax 1 stops at 2
+    thy = tmp_path / "t.thy"
+    thy.write_text(text)
+    assert main(argv + ["--index-size", "1", "--kmax", "1", str(thy)]) == EXIT_LIMIT
+    err = capsys.readouterr().err
+    assert "limit exceeded" in err and "--kmax 1" in err
+
+
+def test_arity_within_the_power_levels_passes(tmp_path):
+    thy = tmp_path / "t.thy"
+    thy.write_text("rel R/3\n")
+    argv = ["check", "triangles", "--index-size", "1", "--kmax", "2", str(thy)]
+    assert main(argv) == EXIT_PASS
