@@ -18,15 +18,14 @@ from .sheaves import (
     conjunction_with_exists,
     definable_sheaf,
     density_certificate,
-    lift_section,
     lift_shortfall,
     moerdijk_sheaf,
     stable_opens_of_site,
+    symmetric_lift,
 )
 from .topology import (
     BasicOpenI,
     BasicOpenM,
-    basic_open_arrows,
     basic_open_points,
     closure_lattice,
     mask,
@@ -249,31 +248,10 @@ def check_guns(mc: ModelClass, depth=2, ctx_max=1):
     failures = []
     for k in range(ctx_max + 1):
         for phi, _ in search.classes(k, depth):
-            sheaf = definable_sheaf(mc, phi)
             for a in itertools.permutations(mc.S.elements(), k):
-                U = basic_open_points(mc, BasicOpenM(phi, a))
-                section = {}
-                skip = False
-                for x in U:
-                    M = mc.models[x]
-                    p = (x, tuple(M.block_key(q) for q in a))
-                    if p not in sheaf.point_index:
-                        skip = True
-                        break
-                    section[x] = sheaf.point_index[p]
-                if skip:
-                    failures.append((str(phi), a, "section leaves the sheaf"))
-                    continue
-                N_s, site, hat = lift_section(sheaf, U, section)
-                expected = basic_open_arrows(
-                    mc, BasicOpenI(BasicOpenM(phi, a), tuple((p, p) for p in a), BasicOpenM(phi, a))
-                )
+                expected, N_s, _, hat = symmetric_lift(mc, phi, a)
                 if N_s != expected:
                     failures.append((str(phi), a, "stabilizer differs from the symmetric array"))
-                    continue
-                bad = hat.check()
-                if bad:
-                    failures.append((str(phi), a, f"morphism checks: {bad[:2]}"))
                     continue
                 if hat.is_isomorphism():
                     verified += 1

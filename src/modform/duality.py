@@ -50,7 +50,7 @@ from .models import (
     check_interpretation,
     model_class,
 )
-from .search import FormulaSearch, functional_families
+from .search import FormulaSearch, _is_functional, functional_families
 from .sheaves import (
     EquivariantSheaf,
     TupleSheaf,
@@ -178,7 +178,6 @@ class RelationCategory:
     index: dict = field(default_factory=dict)
     objects: dict = field(default_factory=dict)
     arrows: dict = field(default_factory=dict)
-    inclusions: dict = field(default_factory=dict)
 
     def object_count(self, k):
         if self.inconsistent:
@@ -211,39 +210,14 @@ def form_functor(gos: GroupoidOverS, k_max) -> RelationCategory:
         for k in range(k_max + 1):
             pairs = []
             sheaf = rc.powers[j + k]
+            graphs = [(graph, sheaf.tuples_over(graph)) for graph in rc.levels[j + k]]
             for si, src_fibers in enumerate(over[j]):
                 for di, dst_fibers in enumerate(over[k]):
-                    for graph in rc.levels[j + k]:
-                        if _graph_functional(sheaf, graph, src_fibers, dst_fibers, j, k, g):
+                    for graph, fam in graphs:
+                        if _is_functional(fam, src_fibers, dst_fibers, j, k):
                             pairs.append((si, di, graph))
             rc.arrows[(j, k)] = pairs
-    for k in range(k_max + 1):
-        incl = []
-        for si, src in enumerate(rc.objects[k]):
-            for di, dst in enumerate(rc.objects[k]):
-                if src <= dst:
-                    incl.append((si, di))
-        rc.inclusions[k] = incl
     return rc
-
-
-def _graph_functional(sheaf, graph, src_fibers, dst_fibers, j, k, g):
-    per_x = {}
-    for i in graph:
-        x, t = sheaf.points[i]
-        per_x.setdefault(x, []).append((t[:j], t[j:]))
-    for x in range(g.objects.size):
-        src = src_fibers[x]
-        seen = {}
-        for s, d in per_x.get(x, []):
-            if s not in src or d not in dst_fibers[x]:
-                return False
-            if s in seen and seen[s] != d:
-                return False
-            seen[s] = d
-        if len(seen) != len(src):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +234,6 @@ class TheoryCategory:
     depth: int
     objects: dict = field(default_factory=dict)  # k -> list of (fic, family)
     arrows: dict = field(default_factory=dict)  # (j,k) -> list of (si, di, fic, family)
-    inclusions: dict = field(default_factory=dict)
 
     def object_count(self, k):
         return len(self.objects[k])
@@ -285,13 +258,6 @@ def syntactic_category(mc: ModelClass, k_max, depth) -> TheoryCategory:
                     for f, fam in functional_families(search, j, k, depth, sfam, dfam):
                         out.append((si, di, f, fam))
             tc.arrows[(j, k)] = out
-    for k in range(k_max + 1):
-        incl = []
-        for si, (_, sfam) in enumerate(tc.objects[k]):
-            for di, (_, dfam) in enumerate(tc.objects[k]):
-                if all(a <= b for a, b in zip(sfam, dfam)):
-                    incl.append((si, di))
-        tc.inclusions[k] = incl
     return tc
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError, SignatureError
-from .logic import EQUALITY_THEORY, Eq, conj, fic, substitute, Var
+from .logic import Eq, conj, fic, substitute, Var
 from .models import DEFAULT_LIMIT, ModelClass, StructIso, fibers, model_class, reduct, star_headroom
 from .topology import (
     BasicOpenI,
@@ -220,11 +220,6 @@ def build_model_groupoid(mc: ModelClass) -> TopGroupoid:
     )
     mc._groupoid = g
     return g
-
-
-def build_S_groupoid(S) -> TopGroupoid:
-    """The groupoid of indexed sets: the model groupoid of the empty theory."""
-    return build_model_groupoid(model_class(EQUALITY_THEORY, S))
 
 
 # ---------------------------------------------------------------------------

@@ -237,11 +237,6 @@ def fic(context, formula):
     return FormulaInContext(tuple(context), formula)
 
 
-def canonical_form(f: FormulaInContext) -> FormulaInContext:
-    """Idempotent alpha-canonicalization (the constructor already does it)."""
-    return FormulaInContext(f.context, f.formula)
-
-
 def substitute(phi, assignment):
     """Capture-avoiding substitution; assignment must cover all free variables."""
     missing = free_vars(phi) - set(assignment)

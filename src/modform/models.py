@@ -394,6 +394,12 @@ class ModelClass:
       (``sheaves.definable_sheaf``); sheaves are never mutated once built.
     - ``_groupoid``: the topological groupoid, or None until built
       (``groupoid.build_model_groupoid``).
+    - ``_lifts``: (model index, subset of its domain) -> [formula, params,
+      arrow set] of the symmetric array on that subset, then the verdict of
+      the section lift, None until the subset first fits a site: (True,
+      the inner site's class_of, each inner class's least arrow, the point
+      map) for an isomorphism, else (False, ``lift_shortfall``'s result)
+      (``sheaves.density_certificate``).
 
     search_nodes is the number of nodes the model search visited; model_class
     holds a cached class to a later call's limit with it.
@@ -427,6 +433,7 @@ class ModelClass:
         self._atomic = None
         self._sheaves = {}
         self._groupoid = None
+        self._lifts = {}
 
     def __repr__(self):
         return (

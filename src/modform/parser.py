@@ -36,7 +36,6 @@ from .logic import (
     disj,
     Exists,
     free_vars,
-    theory_to_str,
 )
 
 _TOKEN_RE = re.compile(
@@ -284,6 +283,3 @@ def parse_formula_in_context(text, sig):
         raise ParseError(f"unbound variable {sorted(loose)[0]!r}")
     return FormulaInContext(tuple(ctx), phi)
 
-
-def print_theory(theory):
-    return theory_to_str(theory)

@@ -641,6 +641,53 @@ def _subset_order(domain):
             yield combo
 
 
+def symmetric_lift(mc: ModelClass, phi, params):
+    """Lift the section of the symmetric basic open <phi, params> to a
+    site-object morphism.
+
+    Returns the arrow set of the symmetric array (<phi, params>, (p,p)...,
+    <phi, params>) and lift_section's (N_s, site, hat) for the section of
+    the definable sheaf of phi at params over <phi, params>.  A correct lift
+    has N_s equal to that arrow set; what a mismatch means is the caller's.
+    """
+    D = definable_sheaf(mc, phi)
+    cond = BasicOpenM(phi, params)
+    U = basic_open_points(mc, cond)
+    section = {}
+    for x in U:
+        M = mc.models[x]
+        p = D.point_index.get((x, tuple(M.block_key(q) for q in params)))
+        if p is None:
+            raise InvariantError("a point of <phi, params> is not in the sheaf of phi")
+        section[x] = p
+    arrows = basic_open_arrows(mc, BasicOpenI(cond, tuple((p, p) for p in params), cond))
+    return (arrows, *lift_section(D, U, section))
+
+
+def _symmetric_row(mc: ModelClass, model_idx, subset):
+    """The row of the class's lift table for a model and a subset of its
+    domain: [formula, params, arrow set] of the symmetric array, then the
+    lift's verdict, None until _lift_verdict fills it in."""
+    key = (model_idx, subset)
+    row = mc._lifts.get(key)
+    if row is None:
+        varr = symmetric_varray(mc.models[model_idx], subset)
+        row = mc._lifts[key] = [varr.dom.formula, varr.dom.params, basic_open_arrows(mc, varr), None]
+    return row
+
+
+def _lift_verdict(mc: ModelClass, chi, params, arrows):
+    """What density reads of the symmetric lift at (chi, params): for an
+    isomorphism, (True, the inner site's class_of, each inner class's least
+    arrow, the point map); otherwise (False, lift_shortfall's result)."""
+    _, N_s, inner, hat = symmetric_lift(mc, chi, params)
+    if N_s != arrows:
+        raise SiteError("computed stabilizer differs from the symmetric array")
+    if hat.is_isomorphism():
+        return True, inner.class_of, [min(cl) for cl in inner.classes], hat.point_map
+    return False, lift_shortfall(mc, hat, params)
+
+
 def density_certificate(mc: ModelClass, site: MoerdijkSiteObject, class_idx):
     """Exhibit a definable sheaf covering a given element of a site object.
 
@@ -649,45 +696,35 @@ def density_certificate(mc: ModelClass, site: MoerdijkSiteObject, class_idx):
     whose section lift is an isomorphism, returns the definable sheaf, the
     morphism into the site sheaf, and the preimage point.  Surjectivity of
     the lift is where index headroom enters; shortfalls are classified and
-    reported as gated.
+    reported as gated.  The lift depends only on the model and the subset,
+    so each is lifted once per class (the class's lift table) and only
+    embedded into the site here.
     """
     g = site.groupoid
     rep = min(site.classes[class_idx])
     model_idx = g.d[rep]
-    M = mc.models[model_idx]
     attempts = []
     fitted = 0
-    for subset in _subset_order(M.domain):
-        varr = symmetric_varray(M, subset)
-        arrows = basic_open_arrows(mc, varr)
+    for subset in _subset_order(mc.models[model_idx].domain):
+        row = _symmetric_row(mc, model_idx, subset)
+        chi, params, arrows, verdict = row
         if not arrows <= site.N:
             continue
         fitted += 1
-        chi = varr.dom.formula
-        params = varr.dom.params
-        D = definable_sheaf(mc, chi)
-        Uopen = basic_open_points(mc, varr.dom)
-        section = {}
-        for x in Uopen:
-            Mx = mc.models[x]
-            section[x] = D.point_index[(x, tuple(Mx.block_key(p) for p in params))]
-        N_s, inner_site, hat = lift_section(D, Uopen, section)
-        if N_s != arrows:
-            raise SiteError("computed stabilizer differs from the symmetric array")
-        if hat.is_isomorphism():
-            inv = {q: p for p, q in enumerate(hat.point_map)}
-            embed = []
-            for ci in range(len(inner_site.classes)):
-                f = min(inner_site.classes[ci])
-                embed.append(site.class_of[f])
+        if verdict is None:
+            verdict = row[3] = _lift_verdict(mc, chi, params, arrows)
+        if verdict[0]:
+            _, class_of, least, point_map = verdict
+            D = definable_sheaf(mc, chi)
+            embed = [site.class_of[f] for f in least]
+            inv = {q: p for p, q in enumerate(point_map)}
             morphism = SheafMorphism(
                 D, site.sheaf, tuple(embed[inv[p]] for p in range(len(D.points)))
             )
             bad = morphism.check()
             if bad:
                 raise SiteError(f"density morphism fails checks: {bad[:3]}")
-            pre_class = inner_site.class_of[rep]
-            preimage = hat.point_map[pre_class]
+            preimage = point_map[class_of[rep]]
             if morphism.point_map[preimage] != class_idx:
                 raise SiteError("density certificate misses its element")
             return {
@@ -699,7 +736,7 @@ def density_certificate(mc: ModelClass, site: MoerdijkSiteObject, class_idx):
                 "preimage": preimage,
                 "element": class_idx,
             }
-        missing, gate_ok = lift_shortfall(mc, hat, params)
+        missing, gate_ok = verdict[1]
         attempts.append(
             {
                 "params": params,

@@ -46,6 +46,10 @@ CASES = [
      "7a6ac808d71b3d037841aec3f78c53dfa45af04d0e1da6632627e7de1cf0683c"),
     ("P1", ["check", "triangles", "--index-size", "2"], 0,
      "8f60f19b2446f1e9a3eb05c96440a889cbcea566b3b98c7b72a098f41d47a9ba"),
+    ("symE", ["site", "--index-size", "2"], 2,
+     "095fff6778e1cb6dc147b7e88e8786f818f884c970342afdaa815f2c011884e2"),
+    ("symE", ["check", "guns", "--index-size", "2"], 0,
+     "dea60e3e3e6e2fd05ed39c5b15af64388fae4dbc577dbc69fdf6c7576d0827bd"),
 ]
 
 

@@ -8,7 +8,6 @@ from modform.errors import InvariantError
 from modform.groupoid import (
     TopGroupoid,
     build_model_groupoid,
-    build_S_groupoid,
     certificate_open,
     identity_morphism,
     mod_on_interpretation,
@@ -137,7 +136,7 @@ def test_algebra_reports_broken_associativity():
 def test_s_groupoid_is_equality_groupoid():
     for n in (1, 2):
         S = IndexSet(n)
-        gs = build_S_groupoid(S)
+        gs = build_model_groupoid(model_class(EQUALITY_THEORY, S))
         g = build_model_groupoid(model_class(EQUALITY_THEORY, S))
         assert gs is g
 
@@ -253,7 +252,7 @@ def test_forgetful_morphism():
     m, report = mod_on_interpretation(initial_interpretation(t), IndexSet(2))
     assert m.check() == []
     assert all(r["ok"] for r in report)
-    gs = build_S_groupoid(IndexSet(2))
+    gs = build_model_groupoid(model_class(EQUALITY_THEORY, IndexSet(2)))
     assert m.dst is gs
     # the object map forgets structure: carriers agree
     smc = model_class(EQUALITY_THEORY, IndexSet(2))
