@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .duality import enumerate_stable_arrow_sets
+from .errors import InvariantError
 from .groupoid import build_model_groupoid, open_image_d, structure_map_preimages
 from .logic import TOP, Sequent, fic
 from .models import ModelClass, star_headroom, star_lemma
@@ -104,10 +105,12 @@ def check_star(mc: ModelClass, max_len=2):
                         continue
                     N, iso = star_lemma(M, a, b, S)
                     checked += 1
-                    if N._key not in mc.model_index:
+                    if N not in mc.model_index:
                         failures.append((mi, a, b, "image not in the model class"))
                         continue
-                    if iso._key not in mc.iso_index:
+                    try:
+                        mc.find_iso(iso)
+                    except InvariantError:
                         failures.append((mi, a, b, "isomorphism not in the class"))
                         continue
                     if N.domain != tuple(S.elements()):

@@ -2,7 +2,8 @@
 
 The groupoid of a model class has the models as objects and the
 isomorphisms as arrows, both carrying the logical topology.  Structure
-maps are explicit finite functions; composition is a precomputed table.
+maps are explicit finite functions; composition is a table built on first
+use.
 Continuity and open-map checks run on minimal neighborhoods, which is
 exact for finite spaces.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantError, SignatureError
+from .errors import InterpretationError, InvariantError, SignatureError
 from .logic import Eq, conj, fic, substitute, Var
 from .models import DEFAULT_LIMIT, ModelClass, StructIso, fibers, model_class, reduct, star_headroom
 from .topology import (
@@ -29,7 +30,9 @@ from .topology import (
 
 
 class TopGroupoid:
-    """Object and arrow spaces with d, c, e, i and a composition table."""
+    """Object and arrow spaces with d, c, e, i and a composition table.
+
+    The table is held as given, not copied; nothing mutates it."""
 
     def __init__(self, objects: FinSpace, arrows: FinSpace, d, c, e, i, comp):
         self.objects = objects
@@ -38,7 +41,7 @@ class TopGroupoid:
         self.c = tuple(c)
         self.e = tuple(e)
         self.i = tuple(i)
-        self.comp = dict(comp)
+        self.comp = comp
         # x -> arrows with codomain x, ascending; built from c alone so that
         # check_algebra can hold the table against it
         self.into = fibers(self.c, range(len(self.c)))
@@ -471,8 +474,13 @@ def mod_on_interpretation(interp, S, limit=None):
     g_src = build_model_groupoid(mc_src)
     g_dst = build_model_groupoid(mc_dst)
     f0 = []
-    for M in mc_src.models:
-        f0.append(mc_dst.find_model(reduct(M, interp)))
+    for x, M in enumerate(mc_src.models):
+        try:
+            f0.append(mc_dst.find_model(reduct(M, interp)))
+        except InvariantError as err:
+            raise InterpretationError(
+                f"the reduct of model {x} is not a model of the source theory: {err}"
+            ) from err
     f1 = []
     for j, iso in enumerate(mc_src.isos):
         image = StructIso(

@@ -11,11 +11,12 @@ in base-(number of blocks) counting order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
 
-from .errors import HeadroomError, InterpretationError, LimitExceeded, SignatureError
+from .errors import HeadroomError, InterpretationError, InvariantError, LimitExceeded, SignatureError
 from .logic import (
     And,
     App,
@@ -57,7 +58,7 @@ class IndexedStructure:
     Instances are immutable by convention and hashable by canonical form.
     """
 
-    __slots__ = ("domain", "blocks", "rels", "funs", "_block_of", "_key", "_hash")
+    __slots__ = ("domain", "blocks", "keys", "rels", "funs", "_block_of", "_key", "_hash")
 
     def __init__(self, domain, blocks, rels=None, funs=None):
         domain = tuple(sorted(domain))
@@ -68,11 +69,12 @@ class IndexedStructure:
             raise SignatureError("blocks do not partition the domain")
         self.domain = domain
         self.blocks = blocks
+        self.keys = tuple(b[0] for b in blocks)
         self._block_of = {}
         for b in blocks:
             for x in b:
                 self._block_of[x] = b[0]
-        keys = set(b[0] for b in blocks)
+        keys = set(self.keys)
         rels = {name: frozenset(tuple(t) for t in ts) for name, ts in (rels or {}).items()}
         funs = {name: dict(g) for name, g in (funs or {}).items()}
         for name, ts in rels.items():
@@ -92,10 +94,6 @@ class IndexedStructure:
             tuple(sorted((n, tuple(sorted(g.items()))) for n, g in funs.items())),
         )
         self._hash = hash(self._key)
-
-    @property
-    def keys(self):
-        return tuple(b[0] for b in self.blocks)
 
     def block_key(self, element):
         return self._block_of[element]
@@ -309,19 +307,7 @@ class StructIso:
         return tuple(self.mapping[k] for k in t)
 
     def preserves_structure(self):
-        sigma = self.mapping
-        for name in set(self.dom.rels) | set(self.cod.rels):
-            image = {tuple(sigma[k] for k in t) for t in self.dom.rel(name)}
-            if image != set(self.cod.rel(name)):
-                return False
-        for name in set(self.dom.funs) | set(self.cod.funs):
-            g, h = self.dom.funs.get(name), self.cod.funs.get(name)
-            if g is None or h is None:
-                return False
-            for args, val in g.items():
-                if h[tuple(sigma[k] for k in args)] != sigma[val]:
-                    return False
-        return True
+        return _preserves(self.dom, self.cod, self.mapping)
 
     def inverse(self):
         return StructIso(self.cod, self.dom, {v: k for k, v in self.mapping.items()})
@@ -340,6 +326,28 @@ class StructIso:
         return f"StructIso({dict(sorted(self.mapping.items()))})"
 
 
+def _preserves(dom, cod, sigma):
+    """Whether the block bijection sigma (a dict) carries every relation and
+    function graph of dom onto that of cod.  A bijection maps a relation
+    onto one of equal size exactly when it maps it into it."""
+    at = sigma.__getitem__
+    for name in set(dom.rels) | set(cod.rels):
+        src, dst = dom.rel(name), cod.rel(name)
+        if len(src) != len(dst):
+            return False
+        for t in src:
+            if tuple(map(at, t)) not in dst:
+                return False
+    for name in set(dom.funs) | set(cod.funs):
+        g, h = dom.funs.get(name), cod.funs.get(name)
+        if g is None or h is None:
+            return False
+        for args, val in g.items():
+            if h[tuple(map(at, args))] != at(val):
+                return False
+    return True
+
+
 def enumerate_isomorphisms(M, N):
     """All structure-preserving bijections between the block sets, in
     permutation order of the codomain keys."""
@@ -348,10 +356,33 @@ def enumerate_isomorphisms(M, N):
         return []
     out = []
     for perm in itertools.permutations(nk):
-        iso = StructIso(M, N, dict(zip(mk, perm)))
-        if iso.preserves_structure():
-            out.append(iso)
+        sigma = dict(zip(mk, perm))
+        if _preserves(M, N, sigma):
+            out.append(StructIso(M, N, sigma))
     return out
+
+
+def canonical_form(M):
+    """The least relabelled copy of M over all bijections of its blocks onto
+    0..k-1: the block count, then the nonempty relations and every function
+    graph, each sorted.  Isomorphic structures have equal forms, since
+    relabelling N after an isomorphism M -> N is a relabelling of M."""
+    keys = M.keys
+    rels = [(name, ts) for name, ts in sorted(M.rels.items()) if ts]
+    funs = sorted(M.funs.items())
+    best = None
+    for perm in itertools.permutations(range(len(keys))):
+        p = dict(zip(keys, perm))
+        form = (
+            tuple((name, tuple(sorted(tuple(p[k] for k in t) for t in ts))) for name, ts in rels),
+            tuple(
+                (name, tuple(sorted((tuple(p[k] for k in args), p[v]) for args, v in g.items())))
+                for name, g in funs
+            ),
+        )
+        if best is None or form < best:
+            best = form
+    return len(keys), best
 
 
 def fibers(ends, arrows):
@@ -372,10 +403,19 @@ def fibers(ends, arrows):
 class ModelClass:
     """All S-indexed models of a theory with all isomorphisms between them.
 
-    The class owns every memo table of its logical topology.  Each lives as
-    long as the class (and so, through model_class, as long as the process)
-    and is filled on first use:
+    The class owns its groupoid's tables and every memo table of its
+    logical topology.  Each lives as long as the class (and so, through
+    model_class, as long as the process).  Two are built with the class:
 
+    - ``model_index``: structure -> its model number (``find_model``).
+    - ``arrow_index``: (dom, cod, perm) -> arrow number, where perm lists
+      the codomain keys in domain-key order (``iso_perm``).  Identities,
+      inverses, composites, ``find_iso`` and ``star`` are lookups in it.
+
+    The rest are filled on first use:
+
+    - ``comp``: composable pair (g, f) -> the arrow g after f
+      (``groupoid.build_model_groupoid``).
     - ``_ext_cache``: (model index, formula-in-context) -> extension, the
       frozenset of satisfying block-key tuples (``ext``).
     - ``_tuples``: tuple -> the one shared copy of it, so equal tuples in
@@ -411,20 +451,22 @@ class ModelClass:
         self.search_nodes = search_nodes
         self.models = list(models)
         self.isos = list(isos)
-        self.model_index = {M._key: i for i, M in enumerate(self.models)}
-        self.iso_index = {f._key: i for i, f in enumerate(self.isos)}
-        self.iso_dom = [self.model_index[f.dom._key] for f in self.isos]
-        self.iso_cod = [self.model_index[f.cod._key] for f in self.isos]
-        self.identity_of = [None] * len(self.models)
-        for j, f in enumerate(self.isos):
-            if self.iso_dom[j] == self.iso_cod[j] and all(k == v for k, v in f.mapping.items()):
-                self.identity_of[self.iso_dom[j]] = j
-        self.inverse_of = [self.iso_index[f.inverse()._key] for f in self.isos]
-        into = fibers(self.iso_cod, range(len(self.isos)))
-        self.comp = {}
-        for gj, g in enumerate(self.isos):
-            for fj in into.get(self.iso_dom[gj], ()):
-                self.comp[(gj, fj)] = self.iso_index[g.compose(self.isos[fj])._key]
+        self.model_index = {M: i for i, M in enumerate(self.models)}
+        self.iso_dom = [self.model_index[f.dom] for f in self.isos]
+        self.iso_cod = [self.model_index[f.cod] for f in self.isos]
+        self.iso_perm = [tuple(map(f.mapping.__getitem__, f.dom.keys)) for f in self.isos]
+        self.arrow_index = {
+            key: j for j, key in enumerate(zip(self.iso_dom, self.iso_cod, self.iso_perm))
+        }
+        self.identity_of = [self.arrow_index.get((i, i, M.keys)) for i, M in enumerate(self.models)]
+        self.inverse_of = []
+        for j, perm in enumerate(self.iso_perm):
+            d, c = self.iso_dom[j], self.iso_cod[j]
+            back = dict(zip(perm, self.models[d].keys))
+            inv = self.arrow_index.get((c, d, tuple(map(back.__getitem__, self.models[c].keys))))
+            if inv is None:
+                raise InvariantError(f"the inverse of arrow {j}, {self.isos[j]!r}, is not an arrow")
+            self.inverse_of.append(inv)
         self._ext_cache = {}
         self._tuples = {}
         self._preserving = {}
@@ -435,6 +477,23 @@ class ModelClass:
         self._groupoid = None
         self._lifts = {}
 
+    @functools.cached_property
+    def comp(self):
+        """(g, f) -> the arrow g after f, for every composable pair, ordered
+        by g and then f.  The composite's permutation is g's mapping read
+        along f's, so no StructIso is built."""
+        arrow, perm, dom, cod = self.arrow_index, self.iso_perm, self.iso_dom, self.iso_cod
+        into = fibers(cod, range(len(self.isos)))
+        comp = {}
+        for gj, g in enumerate(self.isos):
+            after, c = g.mapping.__getitem__, cod[gj]
+            for fj in into.get(dom[gj], ()):
+                hit = arrow.get((dom[fj], c, tuple(map(after, perm[fj]))))
+                if hit is None:
+                    raise InvariantError(f"the composite of arrows {gj} after {fj} is not an arrow")
+                comp[(gj, fj)] = hit
+        return comp
+
     def __repr__(self):
         return (
             f"ModelClass({self.theory}, |S|={self.S.size}, "
@@ -442,10 +501,17 @@ class ModelClass:
         )
 
     def find_model(self, M):
-        return self.model_index[M._key]
+        i = self.model_index.get(M)
+        if i is None:
+            raise InvariantError(f"{M!r} is not a model of {self!r}")
+        return i
 
     def find_iso(self, iso):
-        return self.iso_index[iso._key]
+        d, c = self.find_model(iso.dom), self.find_model(iso.cod)
+        j = self.arrow_index.get((d, c, tuple(map(iso.mapping.__getitem__, iso.dom.keys))))
+        if j is None:
+            raise InvariantError(f"{iso!r} from model {d} to model {c} is not an arrow of {self!r}")
+        return j
 
     def ext(self, model_idx, f: FormulaInContext):
         key = (model_idx, f)
@@ -499,7 +565,7 @@ class ModelClass:
     def star(self, model_idx, a, b):
         """Star construction located inside the class: returns (N index, iso index)."""
         N, iso = star_lemma(self.models[model_idx], a, b, self.S)
-        return self.model_index[N._key], self.iso_index[iso._key]
+        return self.find_model(N), self.find_iso(iso)
 
 
 def _axiom_symbols(seq):
@@ -634,10 +700,16 @@ def build_model_class(theory, S, limit=DEFAULT_LIMIT):
     """
     visited = [0]
     models = list(_search_models(theory, S, limit, visited))
+    # only models with one canonical form can be isomorphic; the pairs keep
+    # model order, so the iso list is the all-pairs scan's
+    forms = [canonical_form(M) for M in models]
+    orbit = {}
+    for j, form in enumerate(forms):
+        orbit.setdefault(form, []).append(j)
     isos = []
     for i, M in enumerate(models):
-        for j, N in enumerate(models):
-            isos.extend(enumerate_isomorphisms(M, N))
+        for j in orbit[forms[i]]:
+            isos.extend(enumerate_isomorphisms(M, models[j]))
     return ModelClass(theory, S, models, isos, search_nodes=visited[0])
 
 

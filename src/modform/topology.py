@@ -90,18 +90,21 @@ class FinSpace:
     def __init__(self, size, subbasis):
         self.size = size
         self.subbasis = [(name, frozenset(s)) for name, s in subbasis]
-        full = frozenset(range(size))
+        points = tuple(range(size))
+        full = frozenset(points)
+        nbhd = [(1 << size) - 1] * size
         for name, s in self.subbasis:
             if not s <= full:
                 raise SignatureError(f"subbasic set {name} not within the point set")
-        minimal = []
-        for x in range(size):
-            nbhd = full
-            for _, s in self.subbasis:
-                if x in s:
-                    nbhd &= s
-            minimal.append(nbhd)
-        self.minimal = minimal
+            m = mask(s)
+            for x in s:
+                nbhd[x] &= m
+        # one frozenset per distinct neighbourhood, over one int per point
+        shared = {}
+        for m in nbhd:
+            if m not in shared:
+                shared[m] = frozenset(map(points.__getitem__, bits(m)))
+        self.minimal = [shared[m] for m in nbhd]
         self._opens = None
 
     @property
@@ -493,7 +496,7 @@ def sobriety_report(mc: ModelClass, limit=DEFAULT_LATTICE_LIMIT):
     roundtrips = []
     for f in filters:
         M = filter_to_model(mc, f)
-        idx = mc.model_index.get(M._key)
+        idx = mc.model_index.get(M)
         ok = idx is not None and neighborhood_filter(space, idx) == f
         roundtrips.append((f, idx, ok))
     return {

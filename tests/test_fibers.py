@@ -96,7 +96,7 @@ def reference_comp(mc):
     for gj, g in enumerate(mc.isos):
         for fj, f in enumerate(mc.isos):
             if mc.iso_dom[gj] == mc.iso_cod[fj]:
-                comp[(gj, fj)] = mc.iso_index[g.compose(f)._key]
+                comp[(gj, fj)] = mc.find_iso(g.compose(f))
     return comp
 
 
