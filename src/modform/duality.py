@@ -821,14 +821,21 @@ def _hull_tables(g: TopGroupoid):
     """Per-arrow bitmask tables for closing arrow sets: `push[a]` holds the
     minimal neighbourhood of `a` and its inverse; `left[a]` pairs each `b`
     with `d(a) == c(b)` with the bit of `a∘b`, `right[a]` each `b` with
-    `d(b) == c(a)` with the bit of `b∘a`."""
+    `d(b) == c(a)` with the bit of `b∘a`; `near[a]` is the mask of all
+    those `b`, and `step[a]` an empty memo for `_close`.
+
+    The memo belongs to these tables, so it lives as long as they do: one
+    `closed_hull` or `enumerate_stable_arrow_sets` call."""
     push = [m | 1 << g.i[a] for a, m in enumerate(g.arrows.masks)]
     left = [[] for _ in push]
     right = [[] for _ in push]
+    near = [0] * len(push)
     for (a, b), ab in g.comp.items():
         left[a].append((b, 1 << ab))
         right[b].append((a, 1 << ab))
-    return push, left, right
+        near[a] |= 1 << b
+        near[b] |= 1 << a
+    return push, left, right, near, [{} for _ in push]
 
 
 def _close(tables, hull, todo):
@@ -838,19 +845,29 @@ def _close(tables, hull, todo):
     Each arrow of `todo`, and each arrow added, is taken once: it pushes
     its neighbourhood and inverse and composes with every member present
     then; a pair whose other member joins later is formed when that one is
-    taken."""
-    push, left, right = tables
+    taken.
+
+    What taking `a` adds is `push[a]` and the composites with the members
+    that lie in `near[a]`, so it is fixed by `a` and `hull & near[a]`:
+    `step[a]` memoizes it under that footprint, and the fiber loops run
+    only for a footprint not seen before."""
+    push, left, right, near, step = tables
     while todo:
         low = todo & -todo
         todo ^= low
         a = low.bit_length() - 1
-        m = push[a]
-        for b, ab in left[a]:
-            if hull >> b & 1:
-                m |= ab
-        for b, ab in right[a]:
-            if hull >> b & 1:
-                m |= ab
+        memo = step[a]
+        key = hull & near[a]
+        m = memo.get(key)
+        if m is None:
+            m = push[a]
+            for b, ab in left[a]:
+                if key >> b & 1:
+                    m |= ab
+            for b, ab in right[a]:
+                if key >> b & 1:
+                    m |= ab
+            memo[key] = m
         m &= ~hull
         hull |= m
         todo |= m
@@ -876,7 +893,11 @@ def enumerate_stable_arrow_sets(g: TopGroupoid, limit=10_000):
     bitmasks, composing only the arrows of one missing from the other and
     the arrows it adds; as it depends only on the union, it is memoized by
     that union for the duration of the call (most joins repeat an earlier
-    union).
+    union).  Each result is also entered under itself, since a closed set
+    is its own closure; so equal results are one int, and a union that is
+    already closed is never closed again.  One set of `_hull_tables`
+    serves every join, so the per-arrow step memo of `_close` carries
+    across joins and is freed with them when the call returns.
     """
     tables = _hull_tables(g)
     joins = {}
@@ -885,7 +906,8 @@ def enumerate_stable_arrow_sets(g: TopGroupoid, limit=10_000):
         union = cur | gen
         nxt = joins.get(union)
         if nxt is None:
-            nxt = joins[union] = _close(tables, union, gen & ~cur)
+            nxt = _close(tables, union, gen & ~cur)
+            nxt = joins[union] = joins.setdefault(nxt, nxt)
         return nxt
 
     gens = {_close(tables, 1 << a, 1 << a) for a in range(g.arrows.size)}

@@ -247,12 +247,9 @@ def structure_map_preimages(mc: ModelClass, a, b):
     m_pre = frozenset((gj, fj) for gj, fj in g.composable() if g.comp[(gj, fj)] in target)
     m_expect = set()
     for c in mc.S.elements():
-        left = pres(c, b)
-        right = pres(a, c)
-        for gj in left:
-            for fj in right:
-                if g.d[gj] == g.c[fj]:
-                    m_expect.add((gj, fj))
+        right = fibers(g.c, pres(a, c))
+        for gj in pres(c, b):
+            m_expect.update((gj, fj) for fj in right.get(g.d[gj], ()))
     return {
         "i": {"computed": i_pre, "expected": i_expect, "ok": i_pre == i_expect},
         "e": {"computed": e_pre, "expected": e_expect, "ok": e_pre == e_expect},

@@ -59,6 +59,12 @@ class EquivariantSheaf:
     # -- invariants ----------------------------------------------------------
 
     def check_invariants(self):
+        """Every failed sheaf law, as messages in a fixed order.
+
+        The action's domain, composition and continuity laws walk only the
+        points over the arrow's domain (among all points, or within a
+        minimal neighbourhood), in the order a scan of every point would
+        meet them, so the messages are the scan's."""
         bad = []
         g = self.base
         if not self.space.continuous(self.r, g.objects):
@@ -70,7 +76,8 @@ class EquivariantSheaf:
                 bad.append(f"projection not injective near point {p}")
             if not g.objects.is_open(frozenset(img)):
                 bad.append(f"projection image of a minimal neighborhood not open at {p}")
-        want = {(a, p) for a in range(g.arrows.size) for p in range(len(self.points)) if self.r[p] == g.d[a]}
+        over = fibers(self.r, range(len(self.points)))
+        want = {(a, p) for a in range(g.arrows.size) for p in over.get(g.d[a], ())}
         if set(self.act) != want:
             bad.append("action domain is not the fibered product")
             return bad
@@ -82,16 +89,15 @@ class EquivariantSheaf:
                 bad.append(f"unit axiom fails at point {p}")
         for gq, f in g.composable():
             gf = g.comp[(gq, f)]
-            for p in range(len(self.points)):
-                if self.r[p] != g.d[f]:
-                    continue
+            for p in over.get(g.d[f], ()):
                 if self.act[(gf, p)] != self.act[(gq, self.act[(f, p)])]:
                     bad.append(f"composition axiom fails at ({gq},{f},{p})")
+        near = [fibers(self.r, self.space.minimal_nbhd(p)) for p in range(len(self.points))]
         for (a, p), q in self.act.items():
             target = self.space.minimal_nbhd(q)
             for a2 in g.arrows.minimal_nbhd(a):
-                for p2 in self.space.minimal_nbhd(p):
-                    if self.r[p2] == g.d[a2] and self.act[(a2, p2)] not in target:
+                for p2 in near[p].get(g.d[a2], ()):
+                    if self.act[(a2, p2)] not in target:
                         bad.append(f"action not continuous at ({a},{p})")
         return bad
 

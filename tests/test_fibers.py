@@ -12,12 +12,14 @@ import random
 
 import pytest
 
-from modform.duality import closed_hull, enumerate_stable_arrow_sets
+from modform.duality import _close, _hull_tables, closed_hull, enumerate_stable_arrow_sets
 from modform.errors import LimitExceeded
 from modform.groupoid import TopGroupoid, build_model_groupoid
 from modform.logic import EQUALITY_THEORY
 from modform.models import IndexSet, fibers, model_class
 from modform.parser import parse_theory
+from modform.sheaves import EquivariantSheaf, moerdijk_sheaf
+from modform.topology import bits, mask
 
 THEORIES = {
     "T_eq": EQUALITY_THEORY,
@@ -111,6 +113,48 @@ def reference_m_continuous(g):
     return True
 
 
+def reference_check_invariants(sheaf):
+    """`EquivariantSheaf.check_invariants` testing the action's domain,
+    composition and continuity laws at every point (of all points or of a
+    minimal neighbourhood) and skipping those outside the domain fiber."""
+    bad = []
+    g = sheaf.base
+    npts = len(sheaf.points)
+    if not sheaf.space.continuous(sheaf.r, g.objects):
+        bad.append("projection not continuous")
+    for p in range(npts):
+        u = sheaf.space.minimal_nbhd(p)
+        img = [sheaf.r[q] for q in u]
+        if len(set(img)) != len(img):
+            bad.append(f"projection not injective near point {p}")
+        if not g.objects.is_open(frozenset(img)):
+            bad.append(f"projection image of a minimal neighborhood not open at {p}")
+    want = {(a, p) for a in range(g.arrows.size) for p in range(npts) if sheaf.r[p] == g.d[a]}
+    if set(sheaf.act) != want:
+        bad.append("action domain is not the fibered product")
+        return bad
+    for (a, p), q in sheaf.act.items():
+        if sheaf.r[q] != g.c[a]:
+            bad.append(f"action of {a} leaves the codomain fiber at {p}")
+    for p in range(npts):
+        if sheaf.act[(g.e[sheaf.r[p]], p)] != p:
+            bad.append(f"unit axiom fails at point {p}")
+    for gq, f in g.composable():
+        gf = g.comp[(gq, f)]
+        for p in range(npts):
+            if sheaf.r[p] != g.d[f]:
+                continue
+            if sheaf.act[(gf, p)] != sheaf.act[(gq, sheaf.act[(f, p)])]:
+                bad.append(f"composition axiom fails at ({gq},{f},{p})")
+    for (a, p), q in sheaf.act.items():
+        target = sheaf.space.minimal_nbhd(q)
+        for a2 in g.arrows.minimal_nbhd(a):
+            for p2 in sheaf.space.minimal_nbhd(p):
+                if sheaf.r[p2] == g.d[a2] and sheaf.act[(a2, p2)] not in target:
+                    bad.append(f"action not continuous at ({a},{p})")
+    return bad
+
+
 def _random_subset(rng, size, at_most=4):
     return rng.sample(range(size), rng.randint(1, min(at_most, size)))
 
@@ -177,6 +221,20 @@ def test_join_of_closed_sets_matches_fixpoint(name, n):
         assert closed_hull(g, gen, cur) == reference_closed_hull(g, cur | gen)
 
 
+@pytest.mark.parametrize("name,n", [("T_eq", 3), ("P/1", 2), ("symE", 2)])
+def test_step_memo_across_joins_matches_fixpoint(name, n):
+    # one set of tables serves every join, as in the enumerator, so a step
+    # memoized by one join is read back by later ones on other hulls
+    g = build_model_groupoid(_class(name, n))
+    tables = _hull_tables(g)
+    rng = random.Random(29)
+    for _ in range(50):
+        cur = mask(reference_closed_hull(g, _random_subset(rng, g.arrows.size, 2)))
+        gen = mask(reference_closed_hull(g, _random_subset(rng, g.arrows.size, 2)))
+        got = frozenset(bits(_close(tables, cur | gen, gen & ~cur)))
+        assert got == reference_closed_hull(g, bits(cur | gen))
+
+
 @pytest.mark.parametrize("name,n", CASES)
 def test_stable_arrow_sets_match_reference_enumerator(name, n):
     g = build_model_groupoid(_class(name, n))
@@ -201,3 +259,34 @@ def test_stable_arrow_set_limit_matches_reference(name, n):
 def test_stable_arrow_set_counts(name, n, count):
     g = build_model_groupoid(_class(name, n))
     assert len(enumerate_stable_arrow_sets(g)) == count
+
+
+def test_sheaf_invariants_match_all_points_scan():
+    mc = _class("symE", 2)
+    g = build_model_groupoid(mc)
+    sheaves = [moerdijk_sheaf(mc, N).sheaf for N in enumerate_stable_arrow_sets(g) if N]
+    assert len(sheaves) == 347
+    for sheaf in sheaves:
+        assert sheaf.check_invariants() == reference_check_invariants(sheaf)
+    # an action with one arrow sent to another point of its codomain fiber
+    sheaf = max(sheaves, key=len)
+    a, p = next(
+        (a, p)
+        for (a, p), q in sheaf.act.items()
+        if a not in g.e and sheaf.r.count(sheaf.r[q]) > 1
+    )
+    act = dict(sheaf.act)
+    act[(a, p)] = next(
+        q for q in range(len(sheaf)) if sheaf.r[q] == g.c[a] and q != act[(a, p)]
+    )
+    broken = EquivariantSheaf(g, sheaf.points, sheaf.space, sheaf.r, act)
+    bad = broken.check_invariants()
+    assert any(v.startswith("composition axiom fails") for v in bad)
+    assert any(v.startswith("action not continuous") for v in bad)
+    assert bad == reference_check_invariants(broken)
+    # an action missing one pair of the fibered product
+    del act[(a, p)]
+    broken = EquivariantSheaf(g, sheaf.points, sheaf.space, sheaf.r, act)
+    bad = broken.check_invariants()
+    assert bad[-1] == "action domain is not the fibered product"
+    assert bad == reference_check_invariants(broken)

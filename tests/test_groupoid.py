@@ -173,6 +173,37 @@ def test_preimage_identities_symmetric_relation():
             assert all(v["ok"] for v in r.values())
 
 
+def reference_m_expect(mc, a, b):
+    """The union over c of <c->b> x <a->c> on composable pairs, testing
+    every pair of the product."""
+    g = build_model_groupoid(mc)
+    pres = lambda p, q: basic_open_arrows(
+        mc, BasicOpenI(trivial_open_m(), ((p, q),), trivial_open_m())
+    )
+    return frozenset(
+        (gj, fj)
+        for c in mc.S.elements()
+        for gj in pres(c, b)
+        for fj in pres(a, c)
+        if g.d[gj] == g.c[fj]
+    )
+
+
+@pytest.mark.parametrize(
+    "text,n",
+    [("", 2), ("rel P/1", 2), (SYM_E, 2), ("", 3)],
+    ids=["T_eq-2", "P/1-2", "symE-2", "T_eq-3"],
+)
+def test_preimage_m_expect_matches_all_pairs_scan(text, n):
+    theory = parse_theory(text) if text else EQUALITY_THEORY
+    mc = model_class(theory, IndexSet(n))
+    for a in range(n):
+        for b in range(n):
+            r = structure_map_preimages(mc, a, b)["m"]
+            assert r["expected"] == reference_m_expect(mc, a, b), (a, b)
+            assert r["ok"] and r["expected"], (a, b)
+
+
 def test_openness_trivial_cover():
     mc = model_class(EQUALITY_THEORY, IndexSet(2))
     res = open_image_d(mc, BasicOpenI(trivial_open_m(), (), trivial_open_m()))
