@@ -4,18 +4,21 @@ open_image_d they replaced.
 The reference below is the earlier implementation: it normalizes the arrow
 array by rewriting formulas, builds the merged basic open of every
 certificate entry as a formula and evaluates it on every model.  The new
-open_image_d must agree with it on every instance check_openness visits:
-the same status, image and union, the same gates and failures as (model,
-parameters) sets, and certificate entries whose rendered opens are the
-reference's opens, in the same order, with the points the formulas
-evaluate to."""
+open_image_d must agree with it on every instance of check_openness's
+sweep: the same status, image and union, the same gates and failures as
+(model, parameters) sets, and certificate entries whose rendered opens are
+the reference's opens, in the same order, with the points the formulas
+evaluate to.
+
+check_openness decides each instance once per domain point set; the tests
+at the end hold that memo to open_image_d on every instance."""
 
 import random
 
 import pytest
 
 from modform import checks, groupoid
-from modform.checks import _basic_open_m_choices, check_openness
+from modform.checks import _basic_open_m_choices, _openness_instances, check_openness
 from modform.errors import InvariantError, SignatureError
 from modform.groupoid import certificate_open, open_image_d
 from modform.logic import EQUALITY_THEORY, Eq, Var, conj, fic, substitute
@@ -181,18 +184,10 @@ def reference_open_image_d(mc, v):
     }
 
 
-def visited_instances(mc, depth, monkeypatch):
-    """Every arrow array check_openness hands to open_image_d, in order."""
-    seen = []
-
-    def record(mc, v):
-        seen.append(v)
-        return open_image_d(mc, v)
-
-    with monkeypatch.context() as m:
-        m.setattr(checks, "open_image_d", record)
-        check_openness(mc, depth=depth)
-    return seen
+def visited_instances(mc, depth):
+    """Every arrow array of check_openness's sweep, in sweep order: all of
+    them, not only those its memo hands to open_image_d."""
+    return list(_openness_instances(mc, depth, 2))
 
 
 def assert_matches_reference(mc, v):
@@ -216,9 +211,9 @@ def assert_matches_reference(mc, v):
 
 
 @pytest.mark.parametrize("name,depth,sample", [("T_eq", 2, None), ("symE", 1, None), ("P/1", 1, 3000)])
-def test_open_image_d_matches_formula_reference(name, depth, sample, monkeypatch):
+def test_open_image_d_matches_formula_reference(name, depth, sample):
     mc = model_class(THEORIES[name], IndexSet(2))
-    instances = visited_instances(mc, depth, monkeypatch)
+    instances = visited_instances(mc, depth)
     if sample is not None:
         instances = random.Random(20261018).sample(instances, sample)
     statuses = [assert_matches_reference(mc, v) for v in instances]
@@ -230,8 +225,8 @@ def test_open_image_d_matches_formula_reference(name, depth, sample, monkeypatch
     ("T_eq", 2, 2, 19), ("P/1", 2, 1, 28), ("symE", 2, 1, 32), ("T_eq", 3, 2, 36),
 ])
 def test_basic_open_choices_are_distinct(name, n, depth, count):
-    # check_openness visits every (dom, pairs, cod) once without a seen-set
-    # because these opens are distinct
+    # _openness_instances yields every (dom, pairs, cod) once without a
+    # seen-set because these opens are distinct
     mc = model_class(THEORIES[name], IndexSet(n))
     choices = _basic_open_m_choices(mc, FormulaSearch(mc), 2, depth)
     assert len(choices) == count
@@ -254,3 +249,88 @@ def test_uncovered_image_names_the_cover_check(monkeypatch):
     monkeypatch.setattr(mc, "equal", lambda a, b: frozenset())
     with pytest.raises(InvariantError, match="not covered by its certificate"):
         open_image_d(mc, v)
+
+
+# ---------------------------------------------------------------------------
+# the memo of check_openness: one decision per domain point set
+
+SWEEPS = [("T_eq", 2), ("P/1", 1), ("symE", 1)]
+
+
+def memo_key(mc, v):
+    return (basic_open_points(mc, v.dom), v.pairs, v.cod)
+
+
+def reference_sweep(mc, depth):
+    """check_openness without its memo: checks.open_image_d on every
+    instance, in sweep order."""
+    out = {"verified": 0, "gated": 0, "failures": []}
+    for v in _openness_instances(mc, depth, 2):
+        status = checks.open_image_d(mc, v)["status"]
+        if status == "failed":
+            out["failures"].append(str(v))
+        else:
+            out[status] += 1
+    return out
+
+
+@pytest.mark.parametrize("name,depth", SWEEPS)
+def test_open_image_d_sees_the_domain_open_only_through_its_points(name, depth):
+    mc = model_class(THEORIES[name], IndexSet(2))
+    doms = _basic_open_m_choices(mc, FormulaSearch(mc), 2, depth)
+    groups = {}
+    for dom in doms:
+        groups.setdefault(basic_open_points(mc, dom), []).append(dom)
+    shared = [g for g in groups.values() if len(g) > 1]
+    assert shared  # the memo has instances to share
+    cases = {(v.pairs, v.cod) for v in _openness_instances(mc, depth, 2)}
+    for group in shared:
+        for pairs, cod in cases:
+            first = open_image_d(mc, BasicOpenI(group[0], pairs, cod))
+            for dom in group[1:]:
+                assert open_image_d(mc, BasicOpenI(dom, pairs, cod)) == first, (dom, pairs, cod)
+
+
+@pytest.mark.parametrize("name,depth,count,decided", [
+    ("T_eq", 2, 5776, 2128), ("P/1", 1, 12544, 4480), ("symE", 1, 16384, 5632),
+])
+def test_memoized_sweep_matches_memo_free_loop(name, depth, count, decided, monkeypatch):
+    mc = model_class(THEORIES[name], IndexSet(2))
+    calls = []
+
+    def record(mc, v):
+        calls.append(v)
+        return open_image_d(mc, v)
+
+    with monkeypatch.context() as m:
+        m.setattr(checks, "open_image_d", record)
+        res = check_openness(mc, depth=depth)
+    ref = reference_sweep(mc, depth)
+    assert {k: res[k] for k in ref} == ref
+    instances = visited_instances(mc, depth)
+    assert len(instances) == count
+    # every key is decided, once
+    keys = [memo_key(mc, v) for v in calls]
+    assert len(keys) == len(set(keys)) == decided
+    assert set(keys) == {memo_key(mc, v) for v in instances}
+
+
+@pytest.mark.parametrize("name,depth", SWEEPS)
+def test_memoized_sweep_lists_every_failing_instance(name, depth, monkeypatch):
+    mc = model_class(THEORIES[name], IndexSet(2))
+    instances = visited_instances(mc, depth)
+    failing = {memo_key(mc, v) for v in random.Random(20261019).sample(instances, 40)}
+
+    def fail_some(mc, v):
+        if memo_key(mc, v) in failing:
+            return {"status": "failed"}
+        return open_image_d(mc, v)
+
+    monkeypatch.setattr(checks, "open_image_d", fail_some)
+    res = check_openness(mc, depth=depth)
+    ref = reference_sweep(mc, depth)
+    assert res["status"] == "fail"
+    assert res["failures"] == ref["failures"]
+    assert (res["verified"], res["gated"]) == (ref["verified"], ref["gated"])
+    # one entry per failing instance, not one per failing key
+    assert len(res["failures"]) == sum(memo_key(mc, v) in failing for v in instances) > len(failing)
