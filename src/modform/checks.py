@@ -1,8 +1,10 @@
 """Named verification suites over a theory at a fixed index size.
 
-Each check returns a dict with at least a `status` key: "pass" when every
+Each suite returns a dict with at least a `status` key: "pass" when every
 instance verified, "gated" when the only shortfalls are index-headroom
 truncations (reported, never counted as refutations), "fail" otherwise.
+check_sites returns the density and subobject suites together; its
+graders check_density and check_gun_subobjects each grade one site object.
 """
 
 from __future__ import annotations
@@ -299,58 +301,71 @@ def check_guns(mc: ModelClass, depth=2, ctx_max=1):
 
 
 # ---------------------------------------------------------------------------
-# density of definables in the site
+# site objects: density of definables and subobject lattices
 
 
-def check_density(mc: ModelClass, n_limit=10_000):
-    """Every element of every site object receives a covering certificate
-    from a definable sheaf, or a headroom gate."""
-    g = build_model_groupoid(mc)
+def check_density(mc: ModelClass, site):
+    """The density tallies of one site object: how many of its elements
+    receive a covering certificate from a definable sheaf, how many gate on
+    headroom, and the elements that do neither, as (the four least arrows
+    of N, element)."""
     verified = 0
-    gated = []
+    gated = 0
     failures = []
+    for ci in range(len(site.classes)):
+        status = density_certificate(mc, site, ci)["status"]
+        if status == "verified":
+            verified += 1
+        elif status == "gated":
+            gated += 1
+        else:
+            failures.append((sorted(site.N)[:4], ci))
+    return verified, gated, failures
+
+
+def check_gun_subobjects(site):
+    """Whether the frame of stable opens of U matches the subsheaf lattice
+    of a site object by the domain-restriction bijection."""
+    return stable_opens_of_site(site)["isomorphic"]
+
+
+def check_sites(mc: ModelClass, n_limit=10_000):
+    """The density and subobject suites over every site object d^-1(U)/N
+    of a non-empty stable arrow set N.
+
+    Each site object is built once, graded by check_density and
+    check_gun_subobjects, and dropped before the next is built."""
+    g = build_model_groupoid(mc)
     sites = 0
+    verified = 0
+    gated = 0
+    density_failures = []
+    subobject_failures = []
     for N in enumerate_stable_arrow_sets(g, n_limit):
         if not N:
             continue
         site = moerdijk_sheaf(mc, N)
         sites += 1
-        for ci in range(len(site.classes)):
-            cert = density_certificate(mc, site, ci)
-            if cert["status"] == "verified":
-                verified += 1
-            elif cert["status"] == "gated":
-                gated.append((sorted(N)[:4], ci))
-            else:
-                failures.append((sorted(N)[:4], ci))
+        v, gt, bad = check_density(mc, site)
+        verified += v
+        gated += gt
+        density_failures += bad
+        if not check_gun_subobjects(site):
+            subobject_failures.append(sorted(N)[:4])
     return {
-        "status": _status(failures, gated),
-        "sites": sites,
-        "verified": verified,
-        "gated": len(gated),
-        "failures": failures,
+        "density": {
+            "status": _status(density_failures, gated),
+            "sites": sites,
+            "verified": verified,
+            "gated": gated,
+            "failures": density_failures,
+        },
+        "subobjects": {
+            "status": _status(subobject_failures, []),
+            "sites": sites,
+            "failures": subobject_failures,
+        },
     }
-
-
-# ---------------------------------------------------------------------------
-# subobject lattice of site objects
-
-
-def check_gun_subobjects(mc: ModelClass, n_limit=10_000):
-    """The frame of stable opens of U matches the subsheaf lattice of each
-    site object by the domain-restriction bijection."""
-    g = build_model_groupoid(mc)
-    failures = []
-    count = 0
-    for N in enumerate_stable_arrow_sets(g, n_limit):
-        if not N:
-            continue
-        site = moerdijk_sheaf(mc, N)
-        res = stable_opens_of_site(site)
-        count += 1
-        if not res["isomorphic"]:
-            failures.append(sorted(N)[:4])
-    return {"status": _status(failures, []), "sites": count, "failures": failures}
 
 
 # ---------------------------------------------------------------------------

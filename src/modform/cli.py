@@ -69,8 +69,8 @@ _SUITE_CALLS = {
     "openness": lambda c: C.check_openness(c.mc, depth=min(c.cfg["depth"], 2), ctx_max=2),
     "stabilization": lambda c: C.check_stabilization(c.mc, depth=min(c.cfg["depth"], 2)),
     "guns": lambda c: C.check_guns(c.mc, depth=min(c.cfg["depth"], 2)),
-    "density": lambda c: C.check_density(c.mc, c.cfg["nlimit"]),
-    "subobjects": lambda c: C.check_gun_subobjects(c.mc, c.cfg["nlimit"]),
+    "density": lambda c: c.sites["density"],
+    "subobjects": lambda c: c.sites["subobjects"],
     "basis": lambda c: C.check_basis_property(c.mc, depth=c.cfg["depth"]),
     "fullness": lambda c: C.check_fullness_on_subobjects(c.mc, depth=c.cfg["depth"]),
     "conservativity": lambda c: C.check_conservativity(c.mc, depth=c.cfg["depth"]),
@@ -166,6 +166,11 @@ class _Context:
     def form(self):
         """Form(Mod T), the relation category of the counit and the unit."""
         return form_functor(self.gos, self.cfg["kmax"])
+
+    @cached_property
+    def sites(self):
+        """The density and subobject suites, from one walk over the sites."""
+        return C.check_sites(self.mc, self.cfg["nlimit"])
 
     def raw(self, name):
         if name not in self._results:

@@ -10,6 +10,7 @@ exact for finite spaces.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import InterpretationError, InvariantError, SignatureError
@@ -42,9 +43,10 @@ class TopGroupoid:
         self.e = tuple(e)
         self.i = tuple(i)
         self.comp = comp
-        # x -> arrows with codomain x, ascending; built from c alone so that
-        # check_algebra can hold the table against it
+        # x -> arrows with codomain (domain) x, ascending; built from c (d)
+        # alone so that check_algebra can hold the table against them
         self.into = fibers(self.c, range(len(self.c)))
+        self.out_of = fibers(self.d, range(len(self.d)))
 
     def composable(self):
         """Pairs (g, f) with d(g) = c(f), ordered by g and then f;
@@ -56,6 +58,20 @@ class TopGroupoid:
 
     def m(self, g, f):
         return self.comp[(g, f)]
+
+    @functools.cached_property
+    def composites(self):
+        """g -> the composites g∘f for f in into[d(g)], in that order; None
+        when some composite does not run from d(f) to c(g)."""
+        d, c, comp = self.d, self.c, self.comp
+        out = []
+        for g in range(self.arrows.size):
+            fs = self.into.get(d[g], ())
+            gfs = tuple([comp[(g, f)] for f in fs])
+            if any(d[gf] != d[f] or c[gf] != c[g] for f, gf in zip(fs, gfs)):
+                return None
+            out.append(gfs)
+        return out
 
     # -- algebraic axioms ---------------------------------------------------
 
@@ -120,10 +136,9 @@ class TopGroupoid:
         out["e"] = self.objects.continuous(self.e, self.arrows)
         out["i"] = self.arrows.continuous(self.i, self.arrows)
         ok = True
-        out_of = fibers(self.d, range(self.arrows.size))
         for f in range(self.arrows.size):
             near_f = fibers(self.c, self.arrows.minimal_nbhd(f))
-            for g in out_of.get(self.c[f], ()):
+            for g in self.out_of.get(self.c[f], ()):
                 target = self.arrows.minimal_nbhd(self.comp[(g, f)])
                 for g2 in self.arrows.minimal_nbhd(g):
                     for f2 in near_f.get(self.d[g2], ()):

@@ -63,10 +63,12 @@ class EquivariantSheaf:
 
         The action's domain, composition and continuity laws walk only the
         points over the arrow's domain (among all points, or within a
-        minimal neighbourhood), in the order a scan of every point would
-        meet them, so the messages are the scan's."""
+        minimal neighbourhood), and the composition law only the composable
+        pairs (g, f) with points over d(f), in the order a scan of every
+        pair and point would meet them, so the messages are the scan's."""
         bad = []
         g = self.base
+        act = self.act
         if not self.space.continuous(self.r, g.objects):
             bad.append("projection not continuous")
         for p in range(len(self.points)):
@@ -78,44 +80,88 @@ class EquivariantSheaf:
                 bad.append(f"projection image of a minimal neighborhood not open at {p}")
         over = fibers(self.r, range(len(self.points)))
         want = {(a, p) for a in range(g.arrows.size) for p in over.get(g.d[a], ())}
-        if set(self.act) != want:
+        if set(act) != want:
             bad.append("action domain is not the fibered product")
             return bad
-        for (a, p), q in self.act.items():
+        stays = True
+        for (a, p), q in act.items():
             if self.r[q] != g.c[a]:
                 bad.append(f"action of {a} leaves the codomain fiber at {p}")
+                stays = False
         for p in range(len(self.points)):
-            if self.act[(g.e[self.r[p]], p)] != p:
+            if act[(g.e[self.r[p]], p)] != p:
                 bad.append(f"unit axiom fails at point {p}")
-        for gq, f in g.composable():
-            gf = g.comp[(gq, f)]
-            for p in over.get(g.d[f], ()):
-                if self.act[(gf, p)] != self.act[(gq, self.act[(f, p)])]:
-                    bad.append(f"composition axiom fails at ({gq},{f},{p})")
-        near = [fibers(self.r, self.space.minimal_nbhd(p)) for p in range(len(self.points))]
-        for (a, p), q in self.act.items():
-            target = self.space.minimal_nbhd(q)
-            for a2 in g.arrows.minimal_nbhd(a):
-                for p2 in near[p].get(g.d[a2], ()):
-                    if self.act[(a2, p2)] not in target:
+        bad += self._composition_failures(over, stays)
+        minimal, d = self.space.minimal, g.d
+        near = [fibers(self.r, minimal[p]) for p in range(len(self.points))]
+        for (a, p), q in act.items():
+            target, near_p = minimal[q], near[p]
+            for a2 in g.arrows.minimal[a]:
+                for p2 in near_p.get(d[a2], ()):
+                    if act[(a2, p2)] not in target:
                         bad.append(f"action not continuous at ({a},{p})")
+        return bad
+
+    def _composition_failures(self, over, stays):
+        """The composition law at every composable pair (g, f) and point p
+        over d(f), as messages in (g, f, p) order.
+
+        When every arrow maps its domain fiber into its codomain fiber
+        (`stays`) and the base's composites are well typed, an arrow's
+        action is its row: the positions, in the fiber over its codomain, of
+        the images of the points over its domain.  The law then holds at g
+        and every f composable with it exactly when the rows of the g∘f, end
+        to end, are those of the f, end to end, with each position read
+        through the row of g.  Only an arrow g where they differ is walked
+        pair by pair and point by point."""
+        g, act = self.base, self.act
+        d, into = g.d, g.into
+        bad = []
+
+        def walk(gq):
+            for f in into.get(d[gq], ()):
+                gf = g.comp[(gq, f)]
+                for p in over.get(d[f], ()):
+                    if act[(gf, p)] != act[(gq, act[(f, p)])]:
+                        bad.append(f"composition axiom fails at ({gq},{f},{p})")
+
+        composites = g.composites
+        if not stays or composites is None:
+            for gq in range(g.arrows.size):
+                walk(gq)
+            return bad
+        pos = [0] * len(self.points)
+        for ps in over.values():
+            for i, p in enumerate(ps):
+                pos[p] = i
+        rows = [()] * g.arrows.size
+        for x, ps in over.items():
+            for a in g.out_of.get(x, ()):
+                rows[a] = tuple([pos[act[(a, p)]] for p in ps])
+        ends = {x: [i for f in into[x] for i in rows[f]] for x in over}
+        for gq, gfs in enumerate(composites):
+            row = rows[gq]
+            if not row:
+                continue
+            if [i for gf in gfs for i in rows[gf]] != list(map(row.__getitem__, ends[d[gq]])):
+                walk(gq)
         return bad
 
     # -- stability -----------------------------------------------------------
 
     def stabilize(self, subset):
-        """Orbit closure under the action; the least stable superset."""
+        """Orbit closure under the action; the least stable superset.  Each
+        point is moved by the arrows of its domain fiber."""
         out = set(subset)
         frontier = list(out)
-        g = self.base
+        out_of = self.base.out_of
         while frontier:
             p = frontier.pop()
-            for a in range(g.arrows.size):
-                if g.d[a] == self.r[p]:
-                    q = self.act[(a, p)]
-                    if q not in out:
-                        out.add(q)
-                        frontier.append(q)
+            for a in out_of.get(self.r[p], ()):
+                q = self.act[(a, p)]
+                if q not in out:
+                    out.add(q)
+                    frontier.append(q)
         return frozenset(out)
 
     def least_stable_opens(self):
@@ -391,6 +437,9 @@ class MoerdijkSiteObject:
         # small index sets the groupoid may fail to be open and these record
         # the shortfall instead of blocking the construction
         self.sheaf_violations = tuple(sheaf_violations)
+        # domain model -> density_certificate's search for the elements over
+        # it, which depends only on this site and that model
+        self.covers = {}
 
 
 def arrow_set_closed(g: TopGroupoid, N):
@@ -471,17 +520,18 @@ def moerdijk_sheaf(mc: ModelClass, N) -> MoerdijkSiteObject:
         push.append(m)
     minimal = [frozenset(bits(reach(push, ci))) for ci in range(len(classes))]
     space = FinSpace(len(classes), [(f"q{ci}", m) for ci, m in enumerate(minimal)])
-    r = tuple(g.c[min(cl)] for cl in classes)
+    reps = [min(cl) for cl in classes]
+    r = tuple(g.c[f] for f in reps)
     # well-definedness of the codomain projection on classes
     for cl in classes:
         if len({g.c[f] for f in cl}) != 1:
             raise SiteError("codomain not constant on a class")
+    # an arrow acts on the classes over its domain through their least arrows
+    over = fibers(r, range(len(classes)))
     act = {}
     for a in range(g.arrows.size):
-        for ci, cl in enumerate(classes):
-            if g.d[a] == r[ci]:
-                rep = min(cl)
-                act[(a, ci)] = class_of[g.comp[(a, rep)]]
+        for ci in over.get(g.d[a], ()):
+            act[(a, ci)] = class_of[g.comp[(a, reps[ci])]]
     points = [("class", ci) for ci in range(len(classes))]
     sheaf = EquivariantSheaf(g, points, space, r, act, mc=mc)
     bad = sheaf.check_invariants()
@@ -510,9 +560,10 @@ def stable_opens_of_site(site: MoerdijkSiteObject, limit=DEFAULT_LATTICE_LIMIT):
     check against the stable opens of the induced sheaf."""
     g = site.groupoid
     lattice = stable_open_lattice(g, site.U, site.N, limit)
+    dom = [g.d[min(cl)] for cl in site.classes]
 
     def subsheaf(V):
-        return frozenset(ci for ci, cl in enumerate(site.classes) if g.d[min(cl)] in V)
+        return frozenset(ci for ci, x in enumerate(dom) if x in V)
 
     sheaf_lattice = site.sheaf.stable_opens(limit)
     image = sorted({subsheaf(V) for V in lattice}, key=lambda s: (len(s), sorted(s)))
@@ -694,21 +745,12 @@ def _lift_verdict(mc: ModelClass, chi, params, arrows):
     return False, lift_shortfall(mc, hat, params)
 
 
-def density_certificate(mc: ModelClass, site: MoerdijkSiteObject, class_idx):
-    """Exhibit a definable sheaf covering a given element of a site object.
-
-    Searches symmetric basic neighborhoods of the identity at the element's
-    domain model, smallest parameter set first; for the first one inside N
-    whose section lift is an isomorphism, returns the definable sheaf, the
-    morphism into the site sheaf, and the preimage point.  Surjectivity of
-    the lift is where index headroom enters; shortfalls are classified and
-    reported as gated.  The lift depends only on the model and the subset,
-    so each is lifted once per class (the class's lift table) and only
-    embedded into the site here.
-    """
-    g = site.groupoid
-    rep = min(site.classes[class_idx])
-    model_idx = g.d[rep]
+def _density_cover(mc: ModelClass, site: MoerdijkSiteObject, model_idx):
+    """density_certificate's search for the elements over one domain model:
+    (True, chi, params, definable sheaf, morphism into the site sheaf, the
+    inner lift's class_of, its point map) for the first fitting symmetric
+    neighbourhood whose lift is an isomorphism; otherwise (False, status,
+    attempts)."""
     attempts = []
     fitted = 0
     for subset in _subset_order(mc.models[model_idx].domain):
@@ -730,18 +772,7 @@ def density_certificate(mc: ModelClass, site: MoerdijkSiteObject, class_idx):
             bad = morphism.check()
             if bad:
                 raise SiteError(f"density morphism fails checks: {bad[:3]}")
-            preimage = point_map[class_of[rep]]
-            if morphism.point_map[preimage] != class_idx:
-                raise SiteError("density certificate misses its element")
-            return {
-                "status": "verified",
-                "formula": chi,
-                "params": params,
-                "definable": D,
-                "morphism": morphism,
-                "preimage": preimage,
-                "element": class_idx,
-            }
+            return True, chi, params, D, morphism, class_of, point_map
         missing, gate_ok = verdict[1]
         attempts.append(
             {
@@ -752,6 +783,42 @@ def density_certificate(mc: ModelClass, site: MoerdijkSiteObject, class_idx):
         )
     if fitted == 0:
         raise SiteError("no symmetric neighborhood fits inside N")  # full diagram always fits
-    if all(a["headroom_explains"] for a in attempts):
-        return {"status": "gated", "attempts": attempts, "element": class_idx}
-    return {"status": "failed", "attempts": attempts, "element": class_idx}
+    status = "gated" if all(a["headroom_explains"] for a in attempts) else "failed"
+    return False, status, attempts
+
+
+def density_certificate(mc: ModelClass, site: MoerdijkSiteObject, class_idx):
+    """Exhibit a definable sheaf covering a given element of a site object.
+
+    Searches symmetric basic neighborhoods of the identity at the element's
+    domain model, smallest parameter set first; for the first one inside N
+    whose section lift is an isomorphism, returns the definable sheaf, the
+    morphism into the site sheaf, and the preimage point.  Surjectivity of
+    the lift is where index headroom enters; shortfalls are classified and
+    reported as gated.  The lift depends only on the model and the subset,
+    so each is lifted once per class (the class's lift table) and only
+    embedded into the site here.  The search and the morphism depend only
+    on the site and the domain model, so the elements over one model share
+    them through the site's `covers`.
+    """
+    rep = min(site.classes[class_idx])
+    model_idx = site.groupoid.d[rep]
+    cover = site.covers.get(model_idx)
+    if cover is None:
+        cover = site.covers[model_idx] = _density_cover(mc, site, model_idx)
+    if not cover[0]:
+        _, status, attempts = cover
+        return {"status": status, "attempts": attempts, "element": class_idx}
+    _, chi, params, D, morphism, class_of, point_map = cover
+    preimage = point_map[class_of[rep]]
+    if morphism.point_map[preimage] != class_idx:
+        raise SiteError("density certificate misses its element")
+    return {
+        "status": "verified",
+        "formula": chi,
+        "params": params,
+        "definable": D,
+        "morphism": morphism,
+        "preimage": preimage,
+        "element": class_idx,
+    }

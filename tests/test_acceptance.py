@@ -9,11 +9,11 @@ gate is diagnosed, never silently.
 import time
 
 from modform.checks import (
-    check_density,
     check_groupoid_axioms,
     check_guns,
     check_openness,
     check_preimage_identities,
+    check_sites,
     check_sobriety,
     check_stabilization,
     check_star,
@@ -158,7 +158,7 @@ def test_criterion_7b_longer_contexts_gate_honestly():
 
 def test_criterion_8_density():
     t0 = time.time()
-    res = check_density(model_class(EQUALITY_THEORY, IndexSet(2)), n_limit=10_000)
+    res = check_sites(model_class(EQUALITY_THEORY, IndexSet(2)), n_limit=10_000)["density"]
     ok = res["status"] in ("pass", "gated") and not res["failures"]
     detail = f"{res['sites']} site objects, {res['verified']} certificates, {res['gated']} gated"
     report(8, "density of definables", ok, detail, 120, time.time() - t0)

@@ -6,8 +6,8 @@ from modform.checks import (
     check_basis_property,
     check_conservativity,
     check_fullness_on_subobjects,
-    check_gun_subobjects,
     check_iso_invariance,
+    check_sites,
     check_sobriety,
 )
 from modform.logic import EQUALITY_THEORY
@@ -53,7 +53,7 @@ def test_iso_invariance(mc):
 
 def test_gun_subobjects_symmetric():
     mc = model_class(parse_theory(SYM_E), IndexSet(2))
-    res = check_gun_subobjects(mc, n_limit=1000)
+    res = check_sites(mc, n_limit=1000)["subobjects"]
     assert res["status"] == "pass"
     assert res["sites"] > 0
 

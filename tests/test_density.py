@@ -1,5 +1,6 @@
 """Density certificates read each symmetric lift from the class's lift
-table; they must agree with the per-element lift they replaced."""
+table, and share one search among the elements of a site over one domain
+model; they must agree with the per-element lift they replaced."""
 
 import pytest
 
@@ -107,6 +108,8 @@ def test_density_matches_per_element_lift(name):
                 assert got["definable"] is definable_sheaf(mc, want["formula"])
             else:
                 assert got["attempts"] == want["attempts"]
+        # the elements over one domain model share one search
+        assert len(site.covers) == len({g.d[min(cl)] for cl in site.classes})
     assert elements > 0
 
 

@@ -1,5 +1,5 @@
-"""Fiber-indexed composition and the bitmask closure engine against the
-code they replaced.
+"""Fiber-indexed composition, sheaf laws and orbits, and the bitmask
+closure engine against the code they replaced.
 
 The all-pairs scans, the frozenset worklist closure and its depth-first
 enumerator below are the reference implementations: every composable-pair
@@ -18,8 +18,9 @@ from modform.groupoid import TopGroupoid, build_model_groupoid
 from modform.logic import EQUALITY_THEORY
 from modform.models import IndexSet, fibers, model_class
 from modform.parser import parse_theory
-from modform.sheaves import EquivariantSheaf, moerdijk_sheaf
-from modform.topology import bits, mask
+from modform.search import FormulaSearch
+from modform.sheaves import EquivariantSheaf, definable_sheaf, moerdijk_sheaf
+from modform.topology import FinSpace, bits, mask
 
 THEORIES = {
     "T_eq": EQUALITY_THEORY,
@@ -153,6 +154,22 @@ def reference_check_invariants(sheaf):
                 if sheaf.r[p2] == g.d[a2] and sheaf.act[(a2, p2)] not in target:
                     bad.append(f"action not continuous at ({a},{p})")
     return bad
+
+
+def reference_stabilize(sheaf, subset):
+    """Orbit closure scanning every arrow for each popped point."""
+    out = set(subset)
+    frontier = list(out)
+    g = sheaf.base
+    while frontier:
+        p = frontier.pop()
+        for a in range(g.arrows.size):
+            if g.d[a] == sheaf.r[p]:
+                q = sheaf.act[(a, p)]
+                if q not in out:
+                    out.add(q)
+                    frontier.append(q)
+    return frozenset(out)
 
 
 def _random_subset(rng, size, at_most=4):
@@ -290,3 +307,98 @@ def test_sheaf_invariants_match_all_points_scan():
     bad = broken.check_invariants()
     assert bad[-1] == "action domain is not the fibered product"
     assert bad == reference_check_invariants(broken)
+
+
+def _site_sheaves(name):
+    mc = _class(name, 2)
+    g = build_model_groupoid(mc)
+    return g, [moerdijk_sheaf(mc, N).sheaf for N in enumerate_stable_arrow_sets(g) if N]
+
+
+def _same_outcome(sheaf):
+    """check_invariants and the reference give the same messages, or raise
+    the same error."""
+    try:
+        want = reference_check_invariants(sheaf)
+    except LookupError as e:
+        with pytest.raises(type(e)):
+            sheaf.check_invariants()
+        return None
+    got = sheaf.check_invariants()
+    assert got == want
+    return got
+
+
+def _with_composite(g, a, b, x):
+    """g with the composite of (a, b) replaced by x."""
+    table = dict(g.comp)
+    table[(a, b)] = x
+    return TopGroupoid(g.objects, g.arrows, g.d, g.c, g.e, g.i, table)
+
+
+@pytest.mark.parametrize("name", ["T_eq", "P/1", "symE"])
+def test_sheaf_invariants_match_all_pairs_scan_on_corrupted_sheaves(name):
+    g, sheaves = _site_sheaves(name)
+    rng = random.Random(31)
+    seen = set()
+    for sheaf in rng.sample(sheaves, min(len(sheaves), 12)):
+        assert _same_outcome(sheaf) == reference_check_invariants(sheaf)
+
+        def moves(x, y):
+            return [sheaf.act[(x, p)] for p in range(len(sheaf)) if sheaf.r[p] == g.d[y]]
+
+        pairs = [(a, b) for a, b in g.composable() if g.d[b] in sheaf.r]
+        # a broken composition entry: a composite moved to a parallel arrow
+        # that acts otherwise on the points over d(b)
+        broken_pairs = [
+            (a, b, x)
+            for a, b in pairs
+            for x in g.out_of[g.d[b]]
+            if g.c[x] == g.c[a] and moves(x, b) != moves(g.comp[(a, b)], b)
+        ]
+        if broken_pairs:
+            base = _with_composite(g, *rng.choice(broken_pairs))
+            broken = EquivariantSheaf(base, sheaf.points, sheaf.space, sheaf.r, sheaf.act)
+            seen.update(v.split(" at ")[0] for v in _same_outcome(broken))
+        # a composite with the right domain and another codomain
+        a, b = rng.choice(pairs)
+        wrong = [x for x in g.out_of[g.d[b]] if g.c[x] != g.c[a]]
+        if wrong:
+            base = _with_composite(g, a, b, rng.choice(wrong))
+            assert base.composites is None
+            _same_outcome(EquivariantSheaf(base, sheaf.points, sheaf.space, sheaf.r, sheaf.act))
+        # a non-continuous action: the same action on the discrete space
+        discrete = FinSpace(len(sheaf), [(f"{p}", {p}) for p in range(len(sheaf))])
+        broken = EquivariantSheaf(g, sheaf.points, discrete, sheaf.r, sheaf.act)
+        seen.update(v.split(" at ")[0] for v in _same_outcome(broken))
+        # one action entry moved to each other point, inside or outside its
+        # codomain fiber
+        (a, p), q = rng.choice(sorted(sheaf.act.items()))
+        for other in range(len(sheaf)):
+            if other != q:
+                act = dict(sheaf.act)
+                act[(a, p)] = other
+                _same_outcome(EquivariantSheaf(g, sheaf.points, sheaf.space, sheaf.r, act))
+        # a missing action-domain entry
+        act = dict(sheaf.act)
+        del act[(a, p)]
+        broken = EquivariantSheaf(g, sheaf.points, sheaf.space, sheaf.r, act)
+        assert _same_outcome(broken)[-1] == "action domain is not the fibered product"
+    assert {"composition axiom fails", "action not continuous"} <= seen
+
+
+@pytest.mark.parametrize("name", ["T_eq", "P/1", "symE"])
+def test_stabilize_matches_all_arrow_scan(name):
+    mc = _class(name, 2)
+    search = FormulaSearch(mc)
+    rng = random.Random(37)
+    checked = 0
+    for k in range(2):
+        for phi, _ in search.classes(k, 2):
+            sheaf = definable_sheaf(mc, phi)
+            subsets = [{p} for p in range(len(sheaf))] + [set()]
+            subsets += [_random_subset(rng, len(sheaf)) for _ in range(5) if len(sheaf)]
+            for subset in subsets:
+                assert sheaf.stabilize(subset) == reference_stabilize(sheaf, subset)
+                checked += 1
+    assert checked > 0
