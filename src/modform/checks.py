@@ -257,7 +257,6 @@ def check_stabilization(mc: ModelClass, depth=2, ctx_max=1, y_max=1):
                         (gated if explained else failures).append(
                             (str(phi), str(psi), a, "headroom" if explained else "unexplained")
                         )
-    failures = [f for f in failures if f[-1] != "headroom"]
     return {
         "status": _status(failures, gated),
         "verified": verified,
@@ -291,7 +290,6 @@ def check_guns(mc: ModelClass, depth=2, ctx_max=1):
                 (gated if explained else failures).append(
                     (str(phi), a, "headroom" if explained else "not an isomorphism")
                 )
-    failures = [f for f in failures if f[-1] != "headroom"]
     return {
         "status": _status(failures, gated),
         "verified": verified,

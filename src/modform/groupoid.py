@@ -56,9 +56,6 @@ class TopGroupoid:
             for f in self.into.get(self.d[g], ()):
                 yield g, f
 
-    def m(self, g, f):
-        return self.comp[(g, f)]
-
     @functools.cached_property
     def composites(self):
         """g -> the composites g∘f for f in into[d(g)], in that order; None

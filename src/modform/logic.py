@@ -50,12 +50,6 @@ def term_vars(t):
     return out
 
 
-def term_depth(t):
-    if isinstance(t, Var):
-        return 0
-    return 1 + max((term_depth(a) for a in t.args), default=0)
-
-
 def map_term(t, env):
     """Replace every variable of t using env (must cover all of them)."""
     if isinstance(t, Var):
@@ -156,21 +150,6 @@ def free_vars(phi):
         return out
     if isinstance(phi, Exists):
         return free_vars(phi.body) - {phi.var}
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def formula_depth(phi):
-    """Tree height; atoms count 1 plus the depth of their deepest term."""
-    if isinstance(phi, (Top, Bot)):
-        return 1
-    if isinstance(phi, Eq):
-        return 1 + max(term_depth(phi.left), term_depth(phi.right))
-    if isinstance(phi, Rel):
-        return 1 + max((term_depth(t) for t in phi.args), default=0)
-    if isinstance(phi, (And, Or)):
-        return 1 + max(formula_depth(p) for p in phi.parts)
-    if isinstance(phi, Exists):
-        return 1 + formula_depth(phi.body)
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -410,15 +389,6 @@ def check_formula(sig, phi):
 EQUALITY_THEORY = Theory(EMPTY_SIGNATURE, (), "T_eq")
 
 INCONSISTENT_THEORY = Theory(EMPTY_SIGNATURE, (Sequent((), TOP, BOT),), "T_bot")
-
-
-def is_horn(phi):
-    """Conjunctions of atoms (including top); no disjunction or quantifier."""
-    if isinstance(phi, (Top, Eq, Rel)):
-        return True
-    if isinstance(phi, And):
-        return all(is_horn(p) for p in phi.parts)
-    return False
 
 
 # ---------------------------------------------------------------------------

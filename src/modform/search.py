@@ -124,9 +124,6 @@ class FormulaSearch:
         self._classes[key] = result
         return result
 
-    def families(self, k, depth):
-        return [fam for _, fam in self.classes(k, depth)]
-
 
 def functional_families(search: FormulaSearch, j, k, depth, src_family, dst_family):
     """Semantic classes at context length j+k that are fiberwise functional

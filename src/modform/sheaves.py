@@ -422,16 +422,20 @@ class MoerdijkSiteObject:
     """The pair (U, N) with its induced sheaf of arrow classes.
 
     classes partition the arrows with domain in U = d(N); two arrows are
-    identified when they share a codomain and differ by an N-arrow.
+    identified when they share a codomain and differ by an N-arrow, so the
+    class of h is its coset {h∘m : m in N, c(m) = d(h)}.  Classes are
+    ordered by their least arrows, reps[ci] is the least arrow of class ci,
+    and class_of maps each arrow to its class.
     """
 
-    def __init__(self, mc, groupoid, N, U, classes, class_of, sheaf, sheaf_violations=()):
+    def __init__(self, mc, groupoid, N, U, classes, class_of, reps, sheaf, sheaf_violations=()):
         self.mc = mc
         self.groupoid = groupoid
         self.N = N
         self.U = U
         self.classes = classes
         self.class_of = class_of
+        self.reps = reps
         self.sheaf = sheaf
         # etale-ness of the quotient is a theorem for open groupoids; at
         # small index sets the groupoid may fail to be open and these record
@@ -457,34 +461,42 @@ def arrow_set_closed(g: TopGroupoid, N):
 
 
 def moerdijk_classes(g: TopGroupoid, N):
-    """The raw quotient data of d^{-1}(U) by the N-relation (no topology)."""
+    """The raw quotient data of d^{-1}(U) by the N-relation (no topology):
+    (U, classes, class_of, reps).
+
+    The arrows over U = d(N) are walked in ascending order; each arrow h not
+    yet classed starts the class of its coset {h∘m : m in N, c(m) = d(h)},
+    so each class comes out keyed by its least arrow h = reps[ci].  For N
+    closed under inverses and composition the cosets are the classes of the
+    relation "c(f) = c(h) and h^{-1}∘f in N"; every same-codomain pair of
+    every class is then checked against N, so a relation that is not an
+    equivalence raises SiteError."""
     N = frozenset(N)
     U = frozenset(g.d[f] for f in N)
-    dom_arrows = [f for f in range(g.arrows.size) if g.d[f] in U]
-    parent = {f: f for f in dom_arrows}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    into = fibers(g.c, dom_arrows)
-    for f in dom_arrows:
-        for h in into[g.c[f]]:
-            if g.comp[(g.i[h], f)] in N:
-                rf, rh = find(f), find(h)
-                if rf != rh:
-                    parent[max(rf, rh)] = min(rf, rh)
-    groups = {}
-    for f in dom_arrows:
-        groups.setdefault(find(f), []).append(f)
-    classes = [frozenset(v) for _, v in sorted(groups.items())]
-    class_of = {}
-    for ci, cl in enumerate(classes):
+    into = fibers(g.c, N)
+    classes, class_of, reps = [], {}, []
+    for h in range(g.arrows.size):
+        if h in class_of or g.d[h] not in U:
+            continue
+        ci = class_of[h] = len(classes)
+        cl = {h}
+        for m in into.get(g.d[h], ()):
+            f = g.comp[(h, m)]
+            if g.c[f] != g.c[h]:
+                raise SiteError("codomain not constant on a class")
+            if class_of.setdefault(f, ci) != ci:
+                raise SiteError("the N-relation is not transitive on a class")
+            cl.add(f)
+        classes.append(frozenset(cl))
+        reps.append(h)
+    # the relation must be an equivalence: every pair of a class (they share
+    # a codomain) differs by an N-arrow
+    for cl in classes:
         for f in cl:
-            class_of[f] = ci
-    return U, classes, class_of
+            for h in cl:
+                if g.comp[(g.i[h], f)] not in N:
+                    raise SiteError("the N-relation is not transitive on a class")
+    return U, classes, class_of, reps
 
 
 def moerdijk_sheaf(mc: ModelClass, N) -> MoerdijkSiteObject:
@@ -496,18 +508,9 @@ def moerdijk_sheaf(mc: ModelClass, N) -> MoerdijkSiteObject:
         raise SiteError("arrow set is not open")
     if not arrow_set_closed(g, N):
         raise SiteError("arrow set is not closed under inverses and composition")
-    U = frozenset(g.d[f] for f in N)
+    U, classes, class_of, reps = moerdijk_classes(g, N)
     if frozenset(g.c[f] for f in N) != U:
         raise SiteError("d(N) and c(N) disagree")
-    U2, classes, class_of = moerdijk_classes(g, N)
-    if U2 != U:
-        raise InvariantError("the quotient is not over d(N)")
-    # the N-relation must be an equivalence here; verify symmetry/transitivity
-    for ci, cl in enumerate(classes):
-        for f in cl:
-            for h in cl:
-                if g.c[f] == g.c[h] and g.comp[(g.i[h], f)] not in N:
-                    raise SiteError("the N-relation is not transitive on a class")
     # quotient topology: the least set of classes around each class that
     # holds every class its arrows' neighbourhoods meet within d^{-1}(U)
     push = []
@@ -520,12 +523,7 @@ def moerdijk_sheaf(mc: ModelClass, N) -> MoerdijkSiteObject:
         push.append(m)
     minimal = [frozenset(bits(reach(push, ci))) for ci in range(len(classes))]
     space = FinSpace(len(classes), [(f"q{ci}", m) for ci, m in enumerate(minimal)])
-    reps = [min(cl) for cl in classes]
     r = tuple(g.c[f] for f in reps)
-    # well-definedness of the codomain projection on classes
-    for cl in classes:
-        if len({g.c[f] for f in cl}) != 1:
-            raise SiteError("codomain not constant on a class")
     # an arrow acts on the classes over its domain through their least arrows
     over = fibers(r, range(len(classes)))
     act = {}
@@ -538,7 +536,7 @@ def moerdijk_sheaf(mc: ModelClass, N) -> MoerdijkSiteObject:
     action_bad = [v for v in bad if "action" in v or "fiber" in v or "axiom" in v]
     if action_bad:
         raise SiteError(f"site sheaf invariants fail: {action_bad[:3]}")
-    return MoerdijkSiteObject(mc, g, N, U, classes, class_of, sheaf, bad)
+    return MoerdijkSiteObject(mc, g, N, U, classes, class_of, reps, sheaf, bad)
 
 
 def stable_open_lattice(g: TopGroupoid, U, N, limit=DEFAULT_LATTICE_LIMIT):
@@ -560,7 +558,7 @@ def stable_opens_of_site(site: MoerdijkSiteObject, limit=DEFAULT_LATTICE_LIMIT):
     check against the stable opens of the induced sheaf."""
     g = site.groupoid
     lattice = stable_open_lattice(g, site.U, site.N, limit)
-    dom = [g.d[min(cl)] for cl in site.classes]
+    dom = [g.d[f] for f in site.reps]
 
     def subsheaf(V):
         return frozenset(ci for ci, x in enumerate(dom) if x in V)
@@ -741,7 +739,7 @@ def _lift_verdict(mc: ModelClass, chi, params, arrows):
     if N_s != arrows:
         raise SiteError("computed stabilizer differs from the symmetric array")
     if hat.is_isomorphism():
-        return True, inner.class_of, [min(cl) for cl in inner.classes], hat.point_map
+        return True, inner.class_of, inner.reps, hat.point_map
     return False, lift_shortfall(mc, hat, params)
 
 
@@ -801,7 +799,7 @@ def density_certificate(mc: ModelClass, site: MoerdijkSiteObject, class_idx):
     on the site and the domain model, so the elements over one model share
     them through the site's `covers`.
     """
-    rep = min(site.classes[class_idx])
+    rep = site.reps[class_idx]
     model_idx = site.groupoid.d[rep]
     cover = site.covers.get(model_idx)
     if cover is None:

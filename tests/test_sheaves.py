@@ -2,8 +2,7 @@
 
 import pytest
 
-from modform import sheaves
-from modform.errors import InvariantError, SignatureError, SiteError
+from modform.errors import SignatureError, SiteError
 from modform.groupoid import build_model_groupoid
 from modform.logic import BOT, EQUALITY_THEORY, Eq, Exists, Rel, TOP, Var, fic
 from modform.models import IndexSet, IndexedStructure, model_class
@@ -157,8 +156,11 @@ def test_moerdijk_identities_not_open():
     with pytest.raises(SiteError):
         moerdijk_sheaf(mc, idents)
     # the raw quotient relation is trivial there: one class per arrow
-    U, classes, _ = moerdijk_classes(g, idents)
-    assert len(classes) == g.arrows.size
+    U, classes, class_of, reps = moerdijk_classes(g, idents)
+    assert U == frozenset(range(g.objects.size))
+    assert classes == [frozenset({f}) for f in range(g.arrows.size)]
+    assert reps == list(range(g.arrows.size))
+    assert class_of == {f: f for f in range(g.arrows.size)}
 
 
 def test_moerdijk_symmetric_condition_five_classes():
@@ -173,20 +175,6 @@ def test_moerdijk_symmetric_condition_five_classes():
         f = mc.isos[min(cl)]
         keys.add((mc.iso_cod[min(cl)], f.apply(f.dom.block_key(0))))
     assert len(keys) == 5
-
-
-def test_moerdijk_quotient_off_its_object_set_is_an_invariant_error(monkeypatch):
-    mc = mc_eq2()
-    g = build_model_groupoid(mc)
-    real = sheaves.moerdijk_classes
-
-    def shifted(g, N):
-        U, classes, class_of = real(g, N)
-        return U - {min(U)}, classes, class_of
-
-    monkeypatch.setattr(sheaves, "moerdijk_classes", shifted)
-    with pytest.raises(InvariantError):
-        moerdijk_sheaf(mc, frozenset(range(g.arrows.size)))
 
 
 def test_stable_opens_of_site_all_arrows():

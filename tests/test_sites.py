@@ -1,6 +1,10 @@
-"""The site suites walk the site objects once: `check_sites` builds each
-site object d^-1(U)/N once and grades it for density and for its subobject
-lattice.  It must return what the two separate walks it replaced return."""
+"""Site objects and the suites that walk them.
+
+A site object quotients d^-1(U) by the N-relation, and builds each class as
+a coset of N; the classes must be those of the relation itself.  The site
+suites walk the site objects once: `check_sites` builds each site object
+d^-1(U)/N once and grades it for density and for its subobject lattice.  It
+must return what the two separate walks it replaced return."""
 
 import pytest
 
@@ -9,7 +13,7 @@ from modform.checks import check_sites
 from modform.duality import enumerate_stable_arrow_sets
 from modform.groupoid import build_model_groupoid
 from modform.logic import EQUALITY_THEORY
-from modform.models import IndexSet, model_class
+from modform.models import IndexSet, fibers, model_class
 from modform.parser import parse_theory
 from modform.sheaves import density_certificate, moerdijk_sheaf, stable_opens_of_site
 
@@ -18,6 +22,36 @@ THEORIES = {
     "P/1": parse_theory("rel P/1\n"),
     "symE": parse_theory("rel E/2\naxiom E(x,y) |- [x,y] E(y,x)\n"),
 }
+
+
+def reference_classes(g, N):
+    """The classes of the N-relation on the arrows with domain in d(N),
+    straight from its definition: f ~ h when c(f) = c(h) and h^-1∘f is in
+    N.  Each arrow maps to the set of arrows it is related to."""
+    U = {g.d[m] for m in N}
+    over = [f for f in range(g.arrows.size) if g.d[f] in U]
+    into = fibers(g.c, over)
+    return {
+        f: frozenset(h for h in into[g.c[f]] if g.comp[(g.i[h], f)] in N) for f in over
+    }
+
+
+@pytest.mark.parametrize("name,n", [("T_eq", 2), ("T_eq", 3), ("P/1", 2), ("symE", 2)])
+def test_site_classes_are_the_relation_classes(name, n):
+    mc = model_class(THEORIES[name], IndexSet(n))
+    g = build_model_groupoid(mc)
+    for N in enumerate_stable_arrow_sets(g):
+        if not N:
+            continue
+        site = moerdijk_sheaf(mc, N)
+        related = reference_classes(g, N)
+        assert site.U == frozenset(g.d[m] for m in N)
+        assert set(site.class_of) == set(related)
+        for f, cl in related.items():
+            assert site.classes[site.class_of[f]] == cl
+        assert site.classes == sorted(set(related.values()), key=min)
+        for ci, cl in enumerate(site.classes):
+            assert site.reps[ci] == min(cl)
 
 
 def _status(failures, gates):
