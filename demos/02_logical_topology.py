@@ -2,8 +2,9 @@
 
 Basic opens record finite positive information: which indices are defined,
 which are identified, which relational facts hold.  At desk scale the whole
-open lattice is a finite object we can print, and sobriety becomes an
-exhaustive check on completely prime filters.
+open lattice is a finite object we can print.  Its completely prime filters
+are the up-sets of the minimal neighbourhoods, so sobriety is checked point
+by point, without listing the lattice.
 """
 
 from modform import (
@@ -15,7 +16,6 @@ from modform import (
     filter_to_model,
     model_class,
     model_space,
-    neighborhood_filter,
     sobriety_report,
 )
 from modform.logic import EQUALITY_THEORY, Eq, TOP, Var
@@ -43,11 +43,11 @@ print()
 print("== completely prime filters ==")
 filters = cp_filters(space)
 print(f"{len(filters)} filters for {len(mc.models)} models")
-for f in filters:
-    M = filter_to_model(mc, f)
+for least in filters:
+    M = filter_to_model(mc, least)
     idx = mc.find_model(M)
-    same = neighborhood_filter(space, idx) == f
-    print(f"  min open {sorted(f.min_open)} rebuilds model {idx}, round trip {same}")
+    same = space.minimal_nbhd(idx) == least
+    print(f"  min open {sorted(least)} rebuilds model {idx}, round trip {same}")
 
 print()
 rep = sobriety_report(mc)

@@ -75,7 +75,7 @@ _SUITE_CALLS = {
     "fullness": lambda c: C.check_fullness_on_subobjects(c.mc, depth=c.cfg["depth"]),
     "conservativity": lambda c: C.check_conservativity(c.mc, depth=c.cfg["depth"]),
     "isoinv": lambda c: C.check_iso_invariance(c.mc, depth=min(c.cfg["depth"], 2)),
-    "pullback": lambda c: check_pullback_square(c.gos, 1),
+    "pullback": lambda c: check_pullback_square(c.gos),
     "counit": lambda c: counit(c.form, c.cfg["depth"]),
     "unit": lambda c: unit(c.form, c.cfg["limit"]),
     "triangles": lambda c: check_triangle_identities(c.raw("unit"), c.cfg["limit"]),
@@ -202,7 +202,7 @@ def _command_topology(ctx):
         "open_sets": [sorted(o) for o in space.opens()],
         "subbasis": len(space.subbasis),
         "subbasis_names": [name for name, _ in space.subbasis],
-        "filters": [sorted(f.min_open) for f in cp_filters(space)],
+        "filters": [sorted(f) for f in cp_filters(space)],
         "sobriety": sob,
         "basis_property": basis,
         "status": _worst([sob["status"], basis["status"]]),

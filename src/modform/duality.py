@@ -55,10 +55,11 @@ from .sheaves import (
     EquivariantSheaf,
     TupleSheaf,
     definable_sheaf,
-    stable_open_lattice,
+    stable_generators,
     tuple_sheaf,
 )
 from .topology import (
+    DEFAULT_LATTICE_LIMIT,
     BasicOpenI,
     BasicOpenM,
     FinSpace,
@@ -101,10 +102,9 @@ class GroupoidOverS:
         return self.morphism().check()
 
 
-def mod_functor(theory, S, limit=None):
+def mod_functor(theory, S, limit=DEFAULT_LIMIT):
     """The model groupoid of a theory with its forgetful map to the
     groupoid of sets."""
-    limit = DEFAULT_LIMIT if limit is None else limit
     morphism, report = mod_on_interpretation(initial_interpretation(theory), S, limit)
     bad = [r for r in report if not r["ok"]]
     if bad:
@@ -261,10 +261,10 @@ def syntactic_category(mc: ModelClass, k_max, depth) -> TheoryCategory:
     return tc
 
 
-def semantic_quotient(theory, S, limit=None):
+def semantic_quotient(theory, S, limit=DEFAULT_LIMIT):
     """The semantic closure of a theory as an entailment oracle, with the
     identity-on-syntax interpretation into it."""
-    mc = model_class(theory, S, DEFAULT_LIMIT if limit is None else limit)
+    mc = model_class(theory, S, limit)
     eta = identity_interpretation(theory)
     axioms_closed = all(mc.entails(ax) for ax in theory.axioms)
     return {"oracle": mc, "eta": eta, "axioms_in_closure": axioms_closed}
@@ -465,7 +465,7 @@ def _symbol(names, k, i):
     return fic(xs, Rel(names[(k, i)], tuple(map(Var, xs))))
 
 
-def unit(rc: RelationCategory, limit=None):
+def unit(rc: RelationCategory, limit=DEFAULT_LIMIT):
     """The comparison morphism from G = rc.gos into Mod(Form G), the model
     groupoid of the relation category's theory: objects go to their fiber
     models, arrows keep their underlying bijections."""
@@ -564,7 +564,7 @@ def _check_levels(theory, rc: RelationCategory):
                 )
 
 
-def check_triangle_identities(un, limit=None):
+def check_triangle_identities(un, limit=DEFAULT_LIMIT):
     """Verify both triangle identities at G = Mod(T) as equalities of
     computed data, from the unit of G.
 
@@ -607,30 +607,28 @@ def check_triangle_identities(un, limit=None):
 # the pullback lemma, naturality, and reconstruction
 
 
-def check_pullback_square(gos: GroupoidOverS, k=1):
-    """The pullback of the generic object power along the forgetful map of
+def check_pullback_square(gos: GroupoidOverS):
+    """The pullback of the generic object along the forgetful map of
     gos = Mod(T) equals the definable sheaf of the trivial formula, as sets
     and as topologies, and agrees with the generic sheaf pulled back along
     the slice morphism."""
     mc = gos.mc
-    power = u_power(gos, k)
-    direct = definable_sheaf(mc, fic([f"x{i}" for i in range(k)], TOP))
+    power = u_power(gos, 1)
+    direct = definable_sheaf(mc, fic(["x0"], TOP))
     same_points = power.points == direct.points
     same_topology = same_points and power.space.same_topology(direct.space)
     same_action = same_points and power.act == direct.act
-    # the k = 1 power against the pullback of the generic sheaf itself
     generic = definable_sheaf(gos.s_mc, fic(["x0"], TOP))
     pulled = pullback_sheaf(gos.morphism(), generic)
     translation = {}
     ok_bijection = len(pulled.points) == len(power.points)
     for i, (x, p) in enumerate(pulled.points):
         smodel, key = generic.points[p]
-        q = power.point_index.get((x, key)) if k == 1 else None
-        translation[i] = q
-        if k == 1 and (q is None or smodel != gos.f0[x]):
+        q = translation[i] = power.point_index.get((x, key))
+        if q is None or smodel != gos.f0[x]:
             ok_bijection = False
     pullback_matches = True
-    if k == 1 and ok_bijection:
+    if ok_bijection:
         for i in range(len(pulled.points)):
             img = {translation[j] for j in pulled.space.minimal_nbhd(i)}
             if img != set(power.space.minimal_nbhd(translation[i])):
@@ -649,7 +647,7 @@ def check_pullback_square(gos: GroupoidOverS, k=1):
     }
 
 
-def check_counit_naturality(interp, S, k_max, depth, limit=None):
+def check_counit_naturality(interp, S, k_max, depth, limit=DEFAULT_LIMIT):
     """eps after translation equals the pullback functor after eps, on
     every bounded formula class of the source theory."""
     gos_src = mod_functor(interp.source, S, limit)  # Mod(T)
@@ -687,7 +685,7 @@ def form_interpretation(rc_src: RelationCategory, names_src, rc_dst: RelationCat
     return Interpretation(theory_src, theory_dst, tuple(rels), ())
 
 
-def check_unit_naturality(interp, S, k_max, limit=None):
+def check_unit_naturality(interp, S, k_max, limit=DEFAULT_LIMIT):
     """Both naturality squares of the unit at a morphism of the form
     Mod(F): objects and arrows."""
     gos_src = mod_functor(interp.source, S, limit)  # Mod(T), the codomain
@@ -1025,10 +1023,11 @@ def enumerate_morphisms_over_s(gos: GroupoidOverS, target: GroupoidOverS):
     return out
 
 
-def enumerate_interpretations(theory, form_theory, rc: RelationCategory, names, S, limit=None):
+def enumerate_interpretations(
+    theory, form_theory, rc: RelationCategory, names, S, limit=DEFAULT_LIMIT
+):
     """All interpretations of a theory into a relation-category theory with
     atomic stable-open images, validated semantically."""
-    limit = DEFAULT_LIMIT if limit is None else limit
     _check_levels(theory, rc)
     rel_options = [[(n, a, i) for i in range(len(rc.levels[a]))] for n, a in theory.signature.rels]
     fun_options = [
@@ -1045,12 +1044,11 @@ def enumerate_interpretations(theory, form_theory, rc: RelationCategory, names, 
     return out
 
 
-def check_hom_bijection(gos: GroupoidOverS, theory, k_max, limit=None):
+def check_hom_bijection(gos: GroupoidOverS, theory, k_max, limit=DEFAULT_LIMIT):
     """Morphisms from the groupoid into Mod(theory) over the groupoid of
     sets correspond bijectively to interpretations of the theory into the
     groupoid's relation-category theory, via the unit and counit
     transpositions; verified by full enumeration of both sides."""
-    limit = DEFAULT_LIMIT if limit is None else limit
     S = gos.s_mc.S
     target = mod_functor(theory, S, limit)
     un = unit(form_functor(gos, k_max), limit)
@@ -1095,10 +1093,10 @@ def coherent_check(gos: GroupoidOverS, k_max):
 
     (i) degenerates in a finite frame: every element is compact because any
     cover by the generating stable opens is already finite; the check
-    verifies each element is the join of finitely many generators and
-    reports the degeneracy.  (ii) computes the projection pullback of every
-    element through the arrow formula and compares with the direct
-    fiberwise pullback.
+    verifies each element is the join of the generators below it (the least
+    stable opens around the points of U) and reports the degeneracy.
+    (ii) computes the projection pullback of every element through the
+    arrow formula and compares with the direct fiberwise pullback.
     """
     g = gos.groupoid
     S = gos.s_mc.S
@@ -1120,18 +1118,21 @@ def coherent_check(gos: GroupoidOverS, k_max):
             ),
         )
         N = frozenset(f for f in range(g.arrows.size) if gos.f1[f] in pres)
-        lattice = stable_open_lattice(g, U, N)
-        gens = [o for o in lattice if o]
-        compact = []
+        gens = stable_generators(g, U, N)
+        lattice = closure_lattice(gens, DEFAULT_LATTICE_LIMIT)
+        compact = True
         for V in lattice:
-            parts = [o for o in lattice if o <= V and o]
-            covered = frozenset().union(*parts) if parts else frozenset()
-            compact.append(covered == V)
+            v = mask(V)
+            covered = 0
+            for m in gens:
+                if not m & ~v:
+                    covered |= m
+            compact = compact and covered == v
         report["i"].append(
             {
                 "k": k,
                 "frame_size": len(lattice),
-                "all_compact": all(compact),
+                "all_compact": compact,
                 "note": "finite frame: every element is a finite join of basics",
             }
         )

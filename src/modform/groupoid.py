@@ -470,14 +470,13 @@ def open_image_d(mc: ModelClass, v: BasicOpenI):
 # Mod on interpretations
 
 
-def mod_on_interpretation(interp, S, limit=None):
+def mod_on_interpretation(interp, S, limit=DEFAULT_LIMIT):
     """The groupoid morphism of restriction along an interpretation.
 
     For F: T -> T' the object map sends a T'-model to its reduct and the
     arrow map keeps the underlying block bijection.  Returns the morphism
     together with the basic-open preimage report.
     """
-    limit = DEFAULT_LIMIT if limit is None else limit
     mc_src = model_class(interp.target, S, limit)  # models of T'
     mc_dst = model_class(interp.source, S, limit)  # models of T
     g_src = build_model_groupoid(mc_src)

@@ -20,9 +20,8 @@ from .models import ModelClass
 
 GEOMETRIC = frozenset({"top", "bot", "eq", "rel", "and", "or", "exists"})
 HORN = frozenset({"top", "eq", "rel", "and"})
-REGULAR = HORN | {"exists"}
 
-CONNECTIVE_SETS = {"geometric": GEOMETRIC, "horn": HORN, "regular": REGULAR}
+CONNECTIVE_SETS = {"geometric": GEOMETRIC, "horn": HORN}
 
 
 class FormulaSearch:
@@ -30,7 +29,7 @@ class FormulaSearch:
 
     def __init__(self, mc: ModelClass, connectives="geometric"):
         self.mc = mc
-        self.ops = CONNECTIVE_SETS[connectives] if isinstance(connectives, str) else frozenset(connectives)
+        self.ops = CONNECTIVE_SETS[connectives]
         self._classes = {}  # (k, depth) -> ordered dict family -> formula (raw, over x0..)
 
     def _family(self, k, phi):

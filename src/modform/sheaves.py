@@ -539,9 +539,9 @@ def moerdijk_sheaf(mc: ModelClass, N) -> MoerdijkSiteObject:
     return MoerdijkSiteObject(mc, g, N, U, classes, class_of, reps, sheaf, bad)
 
 
-def stable_open_lattice(g: TopGroupoid, U, N, limit=DEFAULT_LATTICE_LIMIT):
-    """Open subsets of U closed under the arrow set N: the joins of the
-    least such set around each point of U."""
+def stable_generators(g: TopGroupoid, U, N):
+    """The least open subset of U closed under the arrow set N around each
+    point of U, as bitmasks."""
     push = list(g.objects.masks)
     for f in N:
         push[g.d[f]] |= 1 << g.c[f]
@@ -549,7 +549,13 @@ def stable_open_lattice(g: TopGroupoid, U, N, limit=DEFAULT_LATTICE_LIMIT):
     outside = ~mask(U)
     if any(gen & outside for gen in gens):
         raise SignatureError("stable hull escapes U; N does not restrict to U")
-    return closure_lattice(gens, limit)
+    return gens
+
+
+def stable_open_lattice(g: TopGroupoid, U, N, limit=DEFAULT_LATTICE_LIMIT):
+    """Open subsets of U closed under the arrow set N: the joins of the
+    stable generators."""
+    return closure_lattice(stable_generators(g, U, N), limit)
 
 
 def stable_opens_of_site(site: MoerdijkSiteObject, limit=DEFAULT_LATTICE_LIMIT):

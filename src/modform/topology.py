@@ -4,9 +4,10 @@ topologies on model and isomorphism sets.
 A finite topology is handled through its minimal basis: the minimal open
 neighborhood of a point is the intersection of all subbasic sets containing
 it.  A set is open iff it contains the minimal neighborhood of each of its
-points, so membership, interior, meets and joins never need the full open
-lattice.  The lattice itself (all unions of minimal neighborhoods) is
-generated lazily and only where an operation genuinely enumerates opens.
+points, so membership, meets, joins and the completely prime filters never
+need the full open lattice.  The lattice itself (all unions of minimal
+neighborhoods) is generated lazily and only where an operation genuinely
+enumerates opens.
 """
 
 from __future__ import annotations
@@ -123,10 +124,6 @@ class FinSpace:
         subset = frozenset(subset)
         return all(self.minimal[x] <= subset for x in subset)
 
-    def interior(self, subset):
-        subset = frozenset(subset)
-        return frozenset(x for x in subset if self.minimal[x] <= subset)
-
     def open_hull(self, subset):
         """The smallest open superset."""
         out = set()
@@ -162,14 +159,6 @@ class FinSpace:
             if not target.is_open({f[y] for y in self.minimal[x]}):
                 return False
         return True
-
-
-def discrete_space(size):
-    return FinSpace(size, [(f"{{{i}}}", {i}) for i in range(size)])
-
-
-def indiscrete_space(size):
-    return FinSpace(size, [])
 
 
 # ---------------------------------------------------------------------------
@@ -386,124 +375,77 @@ def symmetric_varray(M, subset=None):
 # completely prime filters and sobriety
 
 
-class CPFilter:
-    """A completely prime filter of opens, stored by its minimum element."""
+def cp_filters(space):
+    """The completely prime filters of opens, each given by its least member:
+    the distinct minimal neighbourhoods, sorted by (size, sorted points).
 
-    def __init__(self, space, min_open):
-        self.space = space
-        self.min_open = frozenset(min_open)
-
-    def contains(self, subset):
-        subset = frozenset(subset)
-        return self.space.is_open(subset) and self.min_open <= subset
-
-    def members(self, limit=DEFAULT_LATTICE_LIMIT):
-        return [o for o in self.space.opens(limit) if self.min_open <= o]
-
-    def __eq__(self, other):
-        return isinstance(other, CPFilter) and self.min_open == other.min_open
-
-    def __hash__(self):
-        return hash(self.min_open)
-
-    def __repr__(self):
-        return f"CPFilter(min={sorted(self.min_open)})"
-
-
-def neighborhood_filter(space, x):
-    return CPFilter(space, space.minimal_nbhd(x))
-
-
-def cp_filters(space, limit=DEFAULT_LATTICE_LIMIT):
-    """All completely prime filters, by exhaustive scan of the lattice.
-
-    In a finite lattice every such filter is the up-set of an open that is
-    not the union of its proper open subsets; the scan checks exactly that.
+    In a finite space every such filter is the up-set of an open that is not
+    the union of its proper open subsets.  Such an open contains a point x
+    whose minimal neighbourhood is the whole open, and each minimal
+    neighbourhood is such an open.
     """
-    lattice = space.opens(limit)
-    out = []
-    for m in lattice:
-        if not m:
+    return sorted(set(space.minimal), key=lambda o: (len(o), sorted(o)))
+
+
+def filter_to_model(mc: ModelClass, least):
+    """Rebuild the structure whose neighbourhood filter has least member
+    `least`.
+
+    Each atomic subbasic open containing `least` is a fact of the structure:
+    a defined index, an equality, a relation tuple or a function graph entry.
+    """
+    A, related = [], set()
+    rels = {name: set() for name, _ in mc.theory.signature.rels}
+    graphs = {name: [] for name, _ in mc.theory.signature.funs}
+    for _, pts, b in atomic_subbasis(mc):
+        if not least <= pts:
             continue
-        below = frozenset().union(*(o for o in lattice if o < m)) if len(m) else frozenset()
-        if below != m:
-            out.append(CPFilter(space, m))
-    return out
-
-
-def filter_to_model(mc: ModelClass, filt: CPFilter):
-    """Rebuild the structure whose neighborhood filter is the given one.
-
-    Carrier: indices a with the definedness open in the filter; equality,
-    relations and functions by filter membership of their atomic opens.
-    """
-    sig = mc.theory.signature
-    S = mc.S
-    A = [a for a in S.elements() if filt.contains(basic_open_points(mc, BasicOpenM(fic(["x0"], TOP), (a,))))]
-    eq = fic(["x0", "x1"], Eq(Var("x0"), Var("x1")))
-    related = {
-        (a, b)
-        for a in A
-        for b in A
-        if filt.contains(basic_open_points(mc, BasicOpenM(eq, (a, b))))
-    }
+        phi, t = b.formula.formula, b.params
+        if isinstance(phi, Rel):
+            rels[phi.name].add(t)
+        elif isinstance(phi, Eq) and isinstance(phi.left, App):
+            graphs[phi.left.fn].append(t)
+        elif isinstance(phi, Eq):
+            related.add(t)
+        else:
+            A.append(t[0])
     blocks = []
-    seen = set()
+    key_of = {}
     for a in A:
-        if a in seen:
+        if a in key_of:
             continue
         blk = tuple(b for b in A if (a, b) in related)
-        seen.update(blk)
-        blocks.append(blk)
-    key_of = {}
-    for blk in blocks:
         for x in blk:
             key_of[x] = blk[0]
-    rels = {}
-    for name, arity in sig.rels:
-        got = set()
-        phi = fic([f"x{i}" for i in range(arity)], Rel(name, _var_tuple(arity)))
-        for t in itertools.product(A, repeat=arity):
-            if filt.contains(basic_open_points(mc, BasicOpenM(phi, t))):
-                got.add(tuple(key_of[x] for x in t))
-        rels[name] = frozenset(got)
-    funs = {}
-    for name, arity in sig.funs:
-        phi = fic(
-            [f"x{i}" for i in range(arity + 1)],
-            Eq(App(name, _var_tuple(arity)), Var(f"x{arity}")),
-        )
-        g = {}
-        for t in itertools.product(A, repeat=arity + 1):
-            if filt.contains(basic_open_points(mc, BasicOpenM(phi, t))):
-                g[tuple(key_of[x] for x in t[:arity])] = key_of[t[arity]]
-        funs[name] = g
+        blocks.append(blk)
+    rels = {name: frozenset(tuple(key_of[x] for x in t) for t in ts) for name, ts in rels.items()}
+    funs = {
+        name: {tuple(key_of[x] for x in t[:-1]): key_of[t[-1]] for t in ts}
+        for name, ts in graphs.items()
+    }
     return IndexedStructure(A, blocks, rels, funs)
 
 
-def sobriety_report(mc: ModelClass, limit=DEFAULT_LATTICE_LIMIT):
+def sobriety_report(mc: ModelClass):
     """Test sobriety of the truncated model space.
 
-    At finite scale sobriety is the T0 property; the report says whether
-    completely prime filters biject with models and whether every filter
-    round-trips through filter_to_model.
+    At finite scale sobriety is the T0 property: the completely prime
+    filters biject with the models exactly when the minimal neighbourhoods
+    are distinct.  The report also says whether every filter round-trips
+    through filter_to_model.
     """
     space = model_space(mc)
-    filters = cp_filters(space, limit)
-    nbhd = [neighborhood_filter(space, i) for i in range(len(mc.models))]
-    t0 = len(set(f.min_open for f in nbhd)) == len(mc.models)
-    bijective = t0 and len(filters) == len(mc.models) and set(filters) == set(nbhd)
+    filters = cp_filters(space)
+    t0 = len(filters) == len(mc.models)
     roundtrips = []
-    for f in filters:
-        M = filter_to_model(mc, f)
-        idx = mc.model_index.get(M)
-        ok = idx is not None and neighborhood_filter(space, idx) == f
-        roundtrips.append((f, idx, ok))
+    for least in filters:
+        idx = mc.model_index.get(filter_to_model(mc, least))
+        roundtrips.append((least, idx, idx is not None and space.minimal[idx] == least))
     return {
         "t0": t0,
         "filters": len(filters),
         "models": len(mc.models),
-        "bijection": bijective,
+        "bijection": t0,
         "round_trip": all(ok for _, _, ok in roundtrips),
         "details": roundtrips,
     }

@@ -3,6 +3,7 @@ semantic-groupoid characterization, and the coherent conditions."""
 
 import pytest
 
+from modform import duality
 from modform.duality import (
     GroupoidOverS,
     check_counit_naturality,
@@ -41,7 +42,7 @@ from modform.models import IndexSet, IndexedStructure, model_class
 from modform.parser import parse_theory
 from modform.search import FormulaSearch
 from modform.sheaves import definable_sheaf
-from modform.topology import FinSpace
+from modform.topology import FinSpace, bits
 
 SYM_E = "rel E/2\naxiom E(x,y) |- [x,y] E(y,x)"
 S2 = IndexSet(2)
@@ -148,7 +149,7 @@ def test_pullback_of_empty_sheaf():
 def test_pullback_square_lemma():
     for text in ("", SYM_E):
         theory = parse_theory(text) if text else EQUALITY_THEORY
-        res = check_pullback_square(mod_functor(theory, S2), 1)
+        res = check_pullback_square(mod_functor(theory, S2))
         assert res["status"] == "pass", res
 
 
@@ -353,6 +354,20 @@ def test_coherent_conditions():
     assert [e["frame_size"] for e in res["i"]] == [3, 2]
     assert all(e["all_compact"] for e in res["i"])
     assert all(e["match"] and e["in_frame"] for e in res["ii"])
+
+
+def test_coherent_frame_element_not_a_join_of_generators(monkeypatch):
+    # a stray point set in the frame is no union of its generators
+    real = duality.closure_lattice
+
+    def with_stray(gens, limit):
+        x = next(p for m in gens for p in bits(m) if 1 << p not in gens)
+        return real(gens, limit) + [frozenset({x})]
+
+    monkeypatch.setattr(duality, "closure_lattice", with_stray)
+    res = coherent_check(mod_functor(EQUALITY_THEORY, S2), 1)
+    assert [e["all_compact"] for e in res["i"]] == [False, False]
+    assert not res["ok"]
 
 
 def test_coherent_conditions_symmetric():

@@ -293,6 +293,14 @@ def test_forgetful_morphism():
         assert smc.models[m.f0[i]].blocks == M.blocks
 
 
+def test_no_limit_means_no_bound(monkeypatch):
+    # None means "no bound" here as in model_class, not the default limit
+    monkeypatch.setattr(groupoid, "DEFAULT_LIMIT", 0)
+    t = parse_theory(SYM_E)
+    m, _ = mod_on_interpretation(initial_interpretation(t), IndexSet(2), None)
+    assert m.check() == []
+
+
 def test_mod_on_formula_interpretation():
     src = parse_theory("rel P/1")
     tgt = parse_theory(SYM_E)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from modform.checks import check_sobriety
 from modform.errors import LimitExceeded
 from modform.logic import BOT, EQUALITY_THEORY, Eq, Exists, TOP, Var, fic
 from modform.models import IndexSet, IndexedStructure, model_class
@@ -13,20 +14,44 @@ from modform.topology import (
     basic_open_arrows,
     basic_open_points,
     cp_filters,
-    discrete_space,
     filter_to_model,
     horn_diagram,
-    indiscrete_space,
     minimal_varray,
     model_space,
-    neighborhood_filter,
     sobriety_report,
     trivial_open_m,
 )
 
 
+THEORIES = {
+    "T_eq": "",
+    "P/1": "rel P/1\n",
+    "symE": "rel E/2\naxiom E(x,y) |- [x,y] E(y,x)\n",
+}
+
+
 def mc_eq2():
     return model_class(EQUALITY_THEORY, IndexSet(2))
+
+
+def discrete_space(size):
+    return FinSpace(size, [(f"{{{i}}}", {i}) for i in range(size)])
+
+
+def indiscrete_space(size):
+    return FinSpace(size, [])
+
+
+def reference_cp_filters(space):
+    """The least members of the completely prime filters, by exhaustive scan
+    of the open lattice: the nonempty opens that are not the union of their
+    proper open subsets, in lattice order."""
+    lattice = space.opens()
+    out = []
+    for m in lattice:
+        if m and frozenset().union(*(o for o in lattice if o < m)) != m:
+            out.append(m)
+    return out
 
 
 def model_idx(mc, domain, blocks):
@@ -90,58 +115,74 @@ def test_cached_open_lattice_honours_limit():
     assert len(space.opens(limit=8)) == 8
 
 
-def test_interior_hull_membership():
+def test_hull_membership():
     mc = mc_eq2()
     space = model_space(mc)
     m01 = model_idx(mc, [0, 1], [(0,), (1,)])
     assert not space.is_open({m01})
-    assert space.interior({m01}) == frozenset()
     assert space.open_hull({m01}) == space.minimal_nbhd(m01)
 
 
 def test_cp_filters_discrete():
-    filters = cp_filters(discrete_space(2))
-    assert len(filters) == 2
-    assert {f.min_open for f in filters} == {frozenset({0}), frozenset({1})}
+    assert cp_filters(discrete_space(2)) == [frozenset({0}), frozenset({1})]
 
 
 def test_cp_filters_indiscrete():
-    filters = cp_filters(indiscrete_space(2))
-    assert len(filters) == 1
-    assert filters[0].min_open == frozenset({0, 1})
+    assert cp_filters(indiscrete_space(2)) == [frozenset({0, 1})]
 
 
 def test_cp_filters_logical_space():
-    mc = mc_eq2()
-    space = model_space(mc)
+    space = model_space(mc_eq2())
     filters = cp_filters(space)
     assert len(filters) == 5
-    assert set(filters) == {neighborhood_filter(space, i) for i in range(5)}
+    assert set(filters) == {space.minimal_nbhd(i) for i in range(5)}
 
 
 def test_cp_filters_match_minimal_neighborhoods():
     # the exhaustive lattice scan agrees with the minimal-basis description
-    for space in (discrete_space(3), indiscrete_space(3), model_space(mc_eq2())):
-        scan = {f.min_open for f in cp_filters(space)}
-        assert scan == {space.minimal_nbhd(x) for x in space.points}
+    for size in (0, 1, 3):
+        for space in (discrete_space(size), indiscrete_space(size)):
+            scan = reference_cp_filters(space)
+            assert cp_filters(space) == scan
+            assert set(scan) == {space.minimal_nbhd(x) for x in space.points}
+
+
+@pytest.mark.parametrize("name,n", [("T_eq", 2), ("P/1", 2), ("symE", 2), ("T_eq", 3)])
+def test_cp_filters_equal_the_scan(name, n):
+    space = model_space(model_class(parse_theory(THEORIES[name]), IndexSet(n)))
+    assert cp_filters(space) == reference_cp_filters(space)
+
+
+@pytest.mark.parametrize("name,n", [("P/1", 3), ("symE", 3), ("T_eq", 4)])
+def test_sobriety_beyond_the_listed_lattice(name, n):
+    # P/1 at n=3 has 43,501 opens; no lattice is listed here
+    res = check_sobriety(model_class(parse_theory(THEORIES[name]), IndexSet(n)))
+    assert res["status"] == "pass", res
+    assert res["filters"] == res["models"]
 
 
 def test_filter_properties():
     space = model_space(mc_eq2())
-    f = neighborhood_filter(space, 0)
-    members = f.members()
+    opens = space.opens()
+    least = space.minimal_nbhd(0)
+    members = [o for o in opens if least <= o]
     assert frozenset(space.points) in members
     assert frozenset() not in members
     for a in members:
         for b in members:
             assert a & b in members
+    # completely prime: a union in the filter has a part in it
+    for a in opens:
+        for b in opens:
+            if a | b in members:
+                assert a in members or b in members
 
 
 def test_filter_to_model_round_trips():
     mc = mc_eq2()
     space = model_space(mc)
     for i, M in enumerate(mc.models):
-        rebuilt = filter_to_model(mc, neighborhood_filter(space, i))
+        rebuilt = filter_to_model(mc, space.minimal_nbhd(i))
         assert rebuilt == M
 
 
@@ -149,7 +190,7 @@ def test_filter_to_model_empty():
     mc = mc_eq2()
     space = model_space(mc)
     i = model_idx(mc, [], [])
-    rebuilt = filter_to_model(mc, neighborhood_filter(space, i))
+    rebuilt = filter_to_model(mc, space.minimal_nbhd(i))
     assert rebuilt.domain == ()
 
 
@@ -158,7 +199,7 @@ def test_filter_to_model_with_relations():
     mc = model_class(t, IndexSet(2))
     space = model_space(mc)
     for i, M in enumerate(mc.models):
-        assert filter_to_model(mc, neighborhood_filter(space, i)) == M
+        assert filter_to_model(mc, space.minimal_nbhd(i)) == M
 
 
 def test_sobriety_equality_theory():
