@@ -3,8 +3,9 @@
 Each suite returns a dict with at least a `status` key: "pass" when every
 instance verified, "gated" when the only shortfalls are index-headroom
 truncations (reported, never counted as refutations), "fail" otherwise.
-check_sites returns the density and subobject suites together; its
-graders check_density and check_gun_subobjects each grade one site object.
+check_sites returns the density and subobject suites (SITE_SUITES) from one
+walk; its graders check_density and check_gun_subobjects each grade one site
+object.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .duality import enumerate_stable_arrow_sets
 from .errors import InvariantError
 from .groupoid import build_model_groupoid, open_image_d, structure_map_preimages
 from .logic import TOP, Sequent, fic
-from .models import ModelClass, star_headroom, star_lemma
+from .models import ModelClass, star_headroom, star_lemma, star_surjection
 from .search import FormulaSearch
 from .sheaves import (
     conjunction_with_exists,
@@ -92,32 +93,47 @@ def check_sobriety(mc: ModelClass):
 # star lemma
 
 
+def _star_verdict(mc, N, iso):
+    """Why the image N and isomorphism iso of a star construction fail,
+    marked elements aside; None when they pass."""
+    if N not in mc.model_index:
+        return "image not in the model class"
+    try:
+        mc.find_iso(iso)
+    except InvariantError:
+        return "isomorphism not in the class"
+    if N.domain != tuple(mc.S.elements()):
+        return "carrier is not all of S"
+    return None
+
+
 def check_star(mc: ModelClass, max_len=2):
     """Runs the construction for every model, every parameter tuple up to
-    the length bound, every distinct target tuple with headroom."""
+    the length bound, every distinct target tuple with headroom.
+
+    The image and its isomorphism read a and b only through the surjection
+    star_surjection(M, a, b, S), so each model builds and checks them once
+    per distinct surjection; the marked elements are checked per instance."""
     S = mc.S
     checked = 0
     gated = 0
     failures = []
     for mi, M in enumerate(mc.models):
+        decided = {}  # surjection -> (N, iso, verdict)
         for k in range(max_len + 1):
             for a in itertools.product(M.domain, repeat=k):
                 for b in itertools.permutations(S.elements(), k):
-                    if not star_headroom(M, a, b, S):
+                    p = star_surjection(M, a, b, S)
+                    if p is None:
                         gated += 1
                         continue
-                    N, iso = star_lemma(M, a, b, S)
                     checked += 1
-                    if N not in mc.model_index:
-                        failures.append((mi, a, b, "image not in the model class"))
-                        continue
-                    try:
-                        mc.find_iso(iso)
-                    except InvariantError:
-                        failures.append((mi, a, b, "isomorphism not in the class"))
-                        continue
-                    if N.domain != tuple(S.elements()):
-                        failures.append((mi, a, b, "carrier is not all of S"))
+                    if p not in decided:
+                        N, iso = star_lemma(M, a, b, S)
+                        decided[p] = N, iso, _star_verdict(mc, N, iso)
+                    N, iso, verdict = decided[p]
+                    if verdict is not None:
+                        failures.append((mi, a, b, verdict))
                         continue
                     for x, y in zip(a, b):
                         if iso.apply(M.block_key(x)) != N.block_key(y):
@@ -327,13 +343,18 @@ def check_gun_subobjects(site):
     return stable_opens_of_site(site)["isomorphic"]
 
 
-def check_sites(mc: ModelClass, n_limit=10_000):
-    """The density and subobject suites over every site object d^-1(U)/N
-    of a non-empty stable arrow set N.
+SITE_SUITES = ("density", "subobjects")
+
+
+def check_sites(mc: ModelClass, n_limit=10_000, suites=SITE_SUITES):
+    """The density and subobject suites, or those of them named in
+    `suites`, over every site object d^-1(U)/N of a non-empty stable arrow
+    set N.
 
     Each site object is built once, graded by check_density and
-    check_gun_subobjects, and dropped before the next is built."""
+    check_gun_subobjects as asked, and dropped before the next is built."""
     g = build_model_groupoid(mc)
+    density, subobjects = "density" in suites, "subobjects" in suites
     sites = 0
     verified = 0
     gated = 0
@@ -344,26 +365,29 @@ def check_sites(mc: ModelClass, n_limit=10_000):
             continue
         site = moerdijk_sheaf(mc, N)
         sites += 1
-        v, gt, bad = check_density(mc, site)
-        verified += v
-        gated += gt
-        density_failures += bad
-        if not check_gun_subobjects(site):
+        if density:
+            v, gt, bad = check_density(mc, site)
+            verified += v
+            gated += gt
+            density_failures += bad
+        if subobjects and not check_gun_subobjects(site):
             subobject_failures.append(sorted(N)[:4])
-    return {
-        "density": {
+    out = {}
+    if density:
+        out["density"] = {
             "status": _status(density_failures, gated),
             "sites": sites,
             "verified": verified,
             "gated": gated,
             "failures": density_failures,
-        },
-        "subobjects": {
+        }
+    if subobjects:
+        out["subobjects"] = {
             "status": _status(subobject_failures, []),
             "sites": sites,
             "failures": subobject_failures,
-        },
-    }
+        }
+    return out
 
 
 # ---------------------------------------------------------------------------

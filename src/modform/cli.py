@@ -147,9 +147,10 @@ class _Context:
     """One command's theory and bounds.  Each suite runs on first use, and
     its result is kept until the command returns."""
 
-    def __init__(self, theory, cfg):
+    def __init__(self, theory, cfg, site_suites):
         self.theory = theory
         self.cfg = cfg
+        self.site_suites = site_suites
         self.S = IndexSet(cfg["index_size"])
         self._results = {}
 
@@ -169,8 +170,8 @@ class _Context:
 
     @cached_property
     def sites(self):
-        """The density and subobject suites, from one walk over the sites."""
-        return C.check_sites(self.mc, self.cfg["nlimit"])
+        """The site suites the command reads, from one walk over the sites."""
+        return C.check_sites(self.mc, self.cfg["nlimit"], self.site_suites)
 
     def raw(self, name):
         if name not in self._results:
@@ -366,7 +367,9 @@ def run(command, config, theory_text, extra=None, name=""):
     theory = parse_theory(theory_text, name)
     if command not in _COMMANDS:
         raise ModformError(f"unknown command {command!r}")
-    result = _COMMANDS[command](_Context(theory, dict(config)), extra)
+    # `check density` or `check subobjects` alone runs only its own grader
+    site_suites = (extra,) if command == "check" and extra in C.SITE_SUITES else C.SITE_SUITES
+    result = _COMMANDS[command](_Context(theory, dict(config), site_suites), extra)
     status = result.get("status", "pass")
     code = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "gated": EXIT_GATED}.get(status, EXIT_FAIL)
     return code, result

@@ -305,6 +305,10 @@ class Signature:
         for n, a in self.rels + self.funs:
             if a < 0:
                 raise SignatureError(f"negative arity for {n}")
+        # indexed once: formula checks look arities up for every atom;
+        # equality and hashing stay on the declared pairs
+        object.__setattr__(self, "_rel_arity", dict(self.rels))
+        object.__setattr__(self, "_fun_arity", dict(self.funs))
 
     @staticmethod
     def make(rels=(), funs=()):
@@ -315,22 +319,22 @@ class Signature:
         return Signature(tuple(rels), tuple(funs))
 
     def rel_arity(self, name):
-        for n, a in self.rels:
-            if n == name:
-                return a
-        raise SignatureError(f"unknown relation symbol {name}")
+        try:
+            return self._rel_arity[name]
+        except KeyError:
+            raise SignatureError(f"unknown relation symbol {name}") from None
 
     def fun_arity(self, name):
-        for n, a in self.funs:
-            if n == name:
-                return a
-        raise SignatureError(f"unknown function symbol {name}")
+        try:
+            return self._fun_arity[name]
+        except KeyError:
+            raise SignatureError(f"unknown function symbol {name}") from None
 
     def has_rel(self, name):
-        return any(n == name for n, _ in self.rels)
+        return name in self._rel_arity
 
     def has_fun(self, name):
-        return any(n == name for n, _ in self.funs)
+        return name in self._fun_arity
 
 
 EMPTY_SIGNATURE = Signature()

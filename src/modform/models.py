@@ -781,33 +781,37 @@ def star_headroom(M, a, b, S):
     return free >= len(set(keys) - hit)
 
 
-def star_lemma(M, a, b, S):
-    """Move the marked elements of M onto the prescribed fresh labels.
+def star_surjection(M, a, b, S):
+    """The surjection p: S ->> blocks(M) of the star construction, as its
+    (index, block key) pairs in index order, or None when no surjection
+    extends b_i -> [a_i].
 
-    Returns a model N carried by all of S together with an isomorphism
-    f: M -> N with f([a_i]) = [b_i].  Deterministic fill: unhit blocks take
-    the smallest unused index elements in block order, every remaining
-    index element lands in the first block.
-    """
+    Deterministic fill: unhit blocks take the smallest unused index
+    elements in block order, every remaining index element lands in the
+    first block."""
     if not star_headroom(M, a, b, S):
-        raise HeadroomError(
-            f"no surjection of {S.size} indices onto {len(M.keys)} blocks extends the assignment"
-        )
-    p = {}
-    for x, y in zip(a, b):
-        p[y] = M.block_key(x)
-    unused = [s for s in S.elements() if s not in p]
-    unhit = [k for k in M.keys if k not in set(p.values())]
-    for k in unhit:
-        p[unused.pop(0)] = k
+        return None
+    indices = S.elements()
+    if not all(y in indices for y in b):
+        raise SignatureError("entries of b must be index elements")
+    p = dict(zip(b, map(M.block_key, a)))
+    hit = set(p.values())
+    fill = iter([k for k in M.keys if k not in hit])
     first = M.keys[0]
-    for s in unused:
-        p[s] = first
+    for s in indices:
+        if s not in p:
+            p[s] = next(fill, first)
+    return tuple(sorted(p.items()))
+
+
+def star_image(M, p):
+    """The model N carried by the indices of p, each block of N the fiber
+    of p over a block of M, together with the isomorphism f: M -> N that
+    sends a block to the least index of its fiber."""
     fibers = {}
-    for s in sorted(p):
-        fibers.setdefault(p[s], []).append(s)
-    sigma = {k: min(f) for k, f in fibers.items()}
-    blocks = [tuple(sorted(f)) for f in fibers.values()]
+    for s, k in p:
+        fibers.setdefault(k, []).append(s)
+    sigma = {k: f[0] for k, f in fibers.items()}
     rels = {
         name: frozenset(tuple(sigma[k] for k in t) for t in ts) for name, ts in M.rels.items()
     }
@@ -815,8 +819,22 @@ def star_lemma(M, a, b, S):
         name: {tuple(sigma[k] for k in args): sigma[val] for args, val in g.items()}
         for name, g in M.funs.items()
     }
-    N = IndexedStructure(list(S.elements()), blocks, rels, funs)
+    N = IndexedStructure([s for s, _ in p], list(fibers.values()), rels, funs)
     return N, StructIso(M, N, sigma)
+
+
+def star_lemma(M, a, b, S):
+    """Move the marked elements of M onto the prescribed fresh labels.
+
+    Returns a model N carried by all of S together with an isomorphism
+    f: M -> N with f([a_i]) = [b_i]: the image of star_surjection(M, a, b, S).
+    """
+    p = star_surjection(M, a, b, S)
+    if p is None:
+        raise HeadroomError(
+            f"no surjection of {S.size} indices onto {len(M.keys)} blocks extends the assignment"
+        )
+    return star_image(M, p)
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,27 @@ def test_report_runs_each_suite_once(monkeypatch):
     assert calls == dict.fromkeys(calls, 1)
 
 
+@pytest.mark.parametrize("suite,other", [("density", "check_gun_subobjects"), ("subobjects", "check_density")])
+def test_one_site_suite_runs_only_its_grader(suite, other, monkeypatch):
+    calls = []
+    real = getattr(checks, other)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    _, site = run("site", CFG, SYM_E)
+    both = {"density": site["density"], "subobjects": site["subobject_lattices"]}
+    monkeypatch.setattr(checks, other, counted)
+    code, alone = run("check", CFG, SYM_E, suite)
+    assert calls == []
+    assert alone["suites"] == {suite: both[suite]}
+    assert code == {"pass": EXIT_PASS, "gated": EXIT_GATED}[alone["status"]]
+    # `site` still grades every site object for both suites
+    run("site", CFG, SYM_E)
+    assert len(calls) == both["density"]["sites"] == 347
+
+
 @pytest.mark.parametrize("text", ["axiom top |- [] bot\n", "rel P/1\naxiom top |- [] bot\n"])
 @pytest.mark.parametrize("command", ["report", "check"])
 def test_inconsistent_theory_triangles_and_reconstruction_are_vacuous(command, text):

@@ -1,6 +1,8 @@
 """Topological groupoids of models: algebra, continuity, preimage
 identities, openness certificates, restriction morphisms."""
 
+import random
+
 import pytest
 
 from modform import groupoid
@@ -131,6 +133,62 @@ def test_algebra_reports_broken_associativity():
         and table[(table[(h, g)], f)] != table[(h, table[(g, f)])]
     ]
     assert want and _with_table(gr, table).check_algebra() == want
+
+
+def test_algebra_reports_a_moved_pair():
+    # as many keys as composable pairs, but one of them is not composable
+    g = build_model_groupoid(model_class(EQUALITY_THEORY, IndexSet(2)))
+    n = g.arrows.size
+    a, b = next((a, b) for a in range(n) for b in range(n) if g.d[a] != g.c[b])
+    table = dict(g.comp)
+    table[(a, b)] = table.pop(next(g.composable()))
+    assert _with_table(g, table).check_algebra() == [
+        "composition table domain is not the composable pairs"
+    ]
+
+
+def triple_walk_laws(g):
+    """The unit, inverse and associativity laws of a well-typed table,
+    with associativity checked on every composable triple."""
+    bad = []
+    comp = g.comp
+    for f in range(g.arrows.size):
+        if comp[(g.e[g.c[f]], f)] != f or comp[(f, g.e[g.d[f]])] != f:
+            bad.append(f"unit law fails at {f}")
+        if comp[(g.i[f], f)] != g.e[g.d[f]]:
+            bad.append(f"inverse law fails at {f}")
+        if comp[(f, g.i[f])] != g.e[g.c[f]]:
+            bad.append(f"inverse law (other side) fails at {f}")
+    for h, k in g.composable():
+        for f in g.into.get(g.d[k], ()):
+            if comp[(comp[(h, k)], f)] != comp[(h, comp[(k, f)])]:
+                bad.append(f"associativity fails at ({h},{k},{f})")
+    return bad
+
+
+@pytest.mark.parametrize("text,n", [("", 3), (SYM_E, 2)])
+def test_row_associativity_matches_the_triple_walk(text, n):
+    theory = parse_theory(text) if text else EQUALITY_THEORY
+    gr = build_model_groupoid(model_class(theory, IndexSet(n)))
+    ends = {}
+    for pair in gr.composable():
+        gf = gr.comp[pair]
+        ends.setdefault((gr.d[gf], gr.c[gf]), []).append(pair)
+    rng = random.Random(17)
+    broken = 0
+    for _ in range(12):
+        # two composites with the same endpoints but different values, swapped
+        pairs = rng.choice([ps for ps in ends.values() if len({gr.comp[p] for p in ps}) > 1])
+        p, q = rng.sample(pairs, 2)
+        while gr.comp[p] == gr.comp[q]:
+            p, q = rng.sample(pairs, 2)
+        table = dict(gr.comp)
+        table[p], table[q] = table[q], table[p]
+        swapped = _with_table(gr, table)
+        want = triple_walk_laws(swapped)
+        assert swapped.check_algebra() == want
+        broken += any(m.startswith("associativity") for m in want)
+    assert broken
 
 
 def test_s_groupoid_is_equality_groupoid():

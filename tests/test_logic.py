@@ -190,6 +190,23 @@ def test_signature_validation():
         Signature((("P", -1),), ())
 
 
+def test_signature_lookups():
+    sig = Signature((("E", 2), ("P", 1)), (("c", 0), ("f", 1)))
+    assert [sig.rel_arity(n) for n in ("E", "P")] == [2, 1]
+    assert [sig.fun_arity(n) for n in ("c", "f")] == [0, 1]
+    assert sig.has_rel("E") and not sig.has_rel("f")
+    assert sig.has_fun("f") and not sig.has_fun("E")
+    with pytest.raises(SignatureError, match="unknown relation symbol f"):
+        sig.rel_arity("f")
+    with pytest.raises(SignatureError, match="unknown function symbol P"):
+        sig.fun_arity("P")
+    # equality, hashing and the printed form stay on the declared pairs
+    same = Signature.make({"P": 1, "E": 2}, {"f": 1, "c": 0})
+    assert same == sig and hash(same) == hash(sig) == hash((sig.rels, sig.funs))
+    assert repr(sig) == f"Signature(rels={sig.rels!r}, funs={sig.funs!r})"
+    assert Signature((("P", 1),)) != Signature((("P", 2),))
+
+
 def test_interpretation_shape_validation():
     src = parse_theory("rel P/2")
     tgt = parse_theory("rel E/2")
