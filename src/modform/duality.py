@@ -235,9 +235,6 @@ class TheoryCategory:
     objects: dict = field(default_factory=dict)  # k -> list of (fic, family)
     arrows: dict = field(default_factory=dict)  # (j,k) -> list of (si, di, fic, family)
 
-    def object_count(self, k):
-        return len(self.objects[k])
-
 
 def syntactic_category(mc: ModelClass, k_max, depth) -> TheoryCategory:
     """Objects and arrows of the syntactic category of mc's theory up to
@@ -828,11 +825,12 @@ def _hull_tables(g: TopGroupoid):
     left = [[] for _ in push]
     right = [[] for _ in push]
     near = [0] * len(push)
-    for (a, b), ab in g.comp.items():
-        left[a].append((b, 1 << ab))
-        right[b].append((a, 1 << ab))
-        near[a] |= 1 << b
-        near[b] |= 1 << a
+    for a, row in enumerate(g.composites):
+        for b, ab in zip(g.into.get(g.d[a], ()), row):
+            left[a].append((b, 1 << ab))
+            right[b].append((a, 1 << ab))
+            near[a] |= 1 << b
+            near[b] |= 1 << a
     return push, left, right, near, [{} for _ in push]
 
 

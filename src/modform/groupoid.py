@@ -2,8 +2,8 @@
 
 The groupoid of a model class has the models as objects and the
 isomorphisms as arrows, both carrying the logical topology.  Structure
-maps are explicit finite functions; composition is a table built on first
-use.
+maps are explicit finite functions; composition is one row of composites
+per arrow, over the codomain fiber of its domain, built on first use.
 Continuity and open-map checks run on minimal neighborhoods, which is
 exact for finite spaces.
 """
@@ -31,22 +31,30 @@ from .topology import (
 
 
 class TopGroupoid:
-    """Object and arrow spaces with d, c, e, i and a composition table.
+    """Object and arrow spaces with d, c, e, i and composition.
 
-    The table is held as given, not copied; nothing mutates it."""
+    Composition is held as rows, m: G1 x_G0 G1 -> G1 on the fibered
+    product: `composites[g]` is the tuple of g∘f for f in into[d(g)], in
+    that order, so g∘f is `composites[g][place[f]]`.  The rows are held as
+    given, not copied; nothing mutates them."""
 
-    def __init__(self, objects: FinSpace, arrows: FinSpace, d, c, e, i, comp):
+    def __init__(self, objects: FinSpace, arrows: FinSpace, d, c, e, i, composites):
         self.objects = objects
         self.arrows = arrows
         self.d = tuple(d)
         self.c = tuple(c)
         self.e = tuple(e)
         self.i = tuple(i)
-        self.comp = comp
+        self.composites = composites
         # x -> arrows with codomain (domain) x, ascending; built from c (d)
-        # alone so that check_algebra can hold the table against them
+        # alone so that check_algebra can hold the rows against them
         self.into = fibers(self.c, range(len(self.c)))
         self.out_of = fibers(self.d, range(len(self.d)))
+        # f -> its index in into[c(f)], its column in each row it composes with
+        self.place = [0] * len(self.c)
+        for fs in self.into.values():
+            for k, f in enumerate(fs):
+                self.place[f] = k
 
     def composable(self):
         """Pairs (g, f) with d(g) = c(f), ordered by g and then f;
@@ -56,19 +64,21 @@ class TopGroupoid:
             for f in self.into.get(self.d[g], ()):
                 yield g, f
 
+    def compose(self, g, f):
+        """g after f, for d(g) = c(f)."""
+        return self.composites[g][self.place[f]]
+
     @functools.cached_property
-    def composites(self):
-        """g -> the composites g∘f for f in into[d(g)], in that order; None
-        when some composite does not run from d(f) to c(g)."""
-        d, c, comp = self.d, self.c, self.comp
-        out = []
-        for g in range(self.arrows.size):
-            fs = self.into.get(d[g], ())
-            gfs = tuple([comp[(g, f)] for f in fs])
-            if any(d[gf] != d[f] or c[gf] != c[g] for f, gf in zip(fs, gfs)):
-                return None
-            out.append(gfs)
-        return out
+    def mistyped(self):
+        """The composable pairs (g, f), in composable order, whose composite
+        does not run from d(f) to c(g); empty when the rows are well typed."""
+        d, c = self.d, self.c
+        return [
+            (g, f)
+            for g, row in enumerate(self.composites)
+            for f, gf in zip(self.into.get(d[g], ()), row)
+            if d[gf] != d[f] or c[gf] != c[g]
+        ]
 
     # -- algebraic axioms ---------------------------------------------------
 
@@ -93,44 +103,35 @@ class TopGroupoid:
                 bad.append(f"i not involutive at {f}")
             if self.d[self.i[f]] != self.c[f] or self.c[self.i[f]] != self.d[f]:
                 bad.append(f"i swaps d and c incorrectly at {f}")
-        # the composable pairs are distinct, so the table's domain is
-        # theirs when it has as many keys and holds each of them
-        comp, into = self.comp, self.into
-        n_pairs = sum(len(into.get(self.d[g], ())) for g in range(n_arr))
-        if len(comp) != n_pairs or not all(gf in comp for gf in self.composable()):
+        d, c, e, i = self.d, self.c, self.e, self.i
+        # the rows cover the composable pairs when each arrow's is as long as its fiber
+        rows, into, place = self.composites, self.into, self.place
+        if [len(row) for row in rows] != [len(into.get(x, ())) for x in d]:
             bad.append("composition table domain is not the composable pairs")
             return bad
-        rows = self.composites
-        if rows is None:
-            bad += [
-                f"m({g},{f}) has wrong endpoints"
-                for g, f in self.composable()
-                if self.d[comp[(g, f)]] != self.d[f] or self.c[comp[(g, f)]] != self.c[g]
-            ]
-            return bad  # the laws below look up composites in the table
+        if self.mistyped:
+            return bad + [f"m({g},{f}) has wrong endpoints" for g, f in self.mistyped]
         for f in range(n_arr):
-            if comp[(self.e[self.c[f]], f)] != f or comp[(f, self.e[self.d[f]])] != f:
+            if rows[e[c[f]]][place[f]] != f or rows[f][place[e[d[f]]]] != f:
                 bad.append(f"unit law fails at {f}")
-            if comp[(self.i[f], f)] != self.e[self.d[f]]:
+            if rows[i[f]][place[f]] != e[d[f]]:
                 bad.append(f"inverse law fails at {f}")
-            if comp[(f, self.i[f])] != self.e[self.c[f]]:
+            if rows[f][place[i[f]]] != e[c[f]]:
                 bad.append(f"inverse law (other side) fails at {f}")
-        # places[g][k]: the place of the k-th composite in g's row within
-        # the codomain fiber it lies in
-        place = [0] * n_arr
-        for fs in into.values():
-            for k, x in enumerate(fs):
-                place[x] = k
-        places = [[place[x] for x in row] for row in rows]
-        for h in range(n_arr):
-            row_h = rows[h]
-            at = row_h.__getitem__
-            for g, hg in zip(into.get(self.d[h], ()), row_h):
-                if rows[hg] == tuple(map(at, places[g])):
-                    continue
-                for f in into.get(self.d[g], ()):
-                    if comp[(hg, f)] != comp[(h, comp[(g, f)])]:
-                        bad.append(f"associativity fails at ({h},{g},{f})")
+        # the pairs (h, g) whose rows differ, found per g, walked in (h, g) order
+        differ = []
+        for g, row_g in enumerate(rows):
+            places, pg = [place[x] for x in row_g], place[g]
+            for h in self.out_of.get(c[g], ()):
+                row_h = rows[h]
+                if rows[row_h[pg]] != tuple(map(row_h.__getitem__, places)):
+                    differ.append((h, g))
+        for h, g in sorted(differ):
+            row_h, row_g = rows[h], rows[g]
+            row_hg = rows[row_h[place[g]]]
+            for k, f in enumerate(into.get(d[g], ())):
+                if row_hg[k] != row_h[place[row_g[k]]]:
+                    bad.append(f"associativity fails at ({h},{g},{f})")
         return bad
 
     # -- continuity ---------------------------------------------------------
@@ -141,20 +142,22 @@ class TopGroupoid:
 
         The minimal neighborhood of a composable pair (g, f) is the set of
         composable pairs in nbhd(g) x nbhd(f); grouping nbhd(f) by codomain
-        visits only those pairs."""
+        visits only those pairs, each read off g2's row at f2's place."""
         out = {}
         out["d"] = self.arrows.continuous(self.d, self.objects)
         out["c"] = self.arrows.continuous(self.c, self.objects)
         out["e"] = self.objects.continuous(self.e, self.arrows)
         out["i"] = self.arrows.continuous(self.i, self.arrows)
+        rows, place, d, minimal = self.composites, self.place, self.d, self.arrows.minimal
         ok = True
         for f in range(self.arrows.size):
-            near_f = fibers(self.c, self.arrows.minimal_nbhd(f))
+            near_f = fibers(self.c, minimal[f])
             for g in self.out_of.get(self.c[f], ()):
-                target = self.arrows.minimal_nbhd(self.comp[(g, f)])
-                for g2 in self.arrows.minimal_nbhd(g):
-                    for f2 in near_f.get(self.d[g2], ()):
-                        if self.comp[(g2, f2)] not in target:
+                target = minimal[rows[g][place[f]]]
+                for g2 in minimal[g]:
+                    row = rows[g2]
+                    for f2 in near_f.get(d[g2], ()):
+                        if row[place[f2]] not in target:
                             ok = False
         out["m"] = ok
         return out
@@ -173,7 +176,7 @@ class TopGroupoid:
             "c": list(self.c),
             "e": list(self.e),
             "i": list(self.i),
-            "m": sorted([g, f, gf] for (g, f), gf in self.comp.items()),
+            "m": [[g, f, self.compose(g, f)] for g, f in self.composable()],
             "object_subbasis": [
                 [name, sorted(pts)] for name, pts in self.objects.subbasis
             ],
@@ -204,8 +207,9 @@ class GroupoidMorphism:
         for x in range(self.src.objects.size):
             if self.f1[self.src.e[x]] != self.dst.e[self.f0[x]]:
                 bad.append(f"e square fails at object {x}")
-        for g, f in self.src.composable():
-            if self.f1[self.src.comp[(g, f)]] != self.dst.comp[(self.f1[g], self.f1[f])]:
+        src, dst, f1 = self.src, self.dst, self.f1
+        for g, f in src.composable():  # an arrow that breaks a d or c square may not compose
+            if dst.d[f1[g]] != dst.c[f1[f]] or f1[src.compose(g, f)] != dst.compose(f1[g], f1[f]):
                 bad.append(f"m square fails at ({g},{f})")
         if not self.src.objects.continuous(self.f0, self.dst.objects):
             bad.append("object map not continuous")
@@ -246,7 +250,7 @@ def build_model_groupoid(mc: ModelClass) -> TopGroupoid:
         mc.iso_cod,
         mc.identity_of,
         mc.inverse_of,
-        mc.comp,
+        mc.composites,
     )
     mc._groupoid = g
     return g
@@ -271,7 +275,7 @@ def structure_map_preimages(mc: ModelClass, a, b):
     e_expect = basic_open_points(
         mc, BasicOpenM(fic(["x", "y"], Eq(Var("x"), Var("y"))), (a, b))
     )
-    m_pre = frozenset((gj, fj) for gj, fj in g.composable() if g.comp[(gj, fj)] in target)
+    m_pre = frozenset((gj, fj) for gj, fj in g.composable() if g.compose(gj, fj) in target)
     m_expect = set()
     for c in mc.S.elements():
         right = fibers(g.c, pres(a, c))

@@ -414,8 +414,8 @@ class ModelClass:
 
     The rest are filled on first use:
 
-    - ``comp``: composable pair (g, f) -> the arrow g after f
-      (``groupoid.build_model_groupoid``).
+    - ``composites``: arrow g -> its row of composites g after f over the
+      codomain fiber of d(g), held as is by ``groupoid.build_model_groupoid``.
     - ``_ext_cache``: (model index, formula-in-context) -> extension, the
       frozenset of satisfying block-key tuples (``ext``).
     - ``_tuples``: tuple -> the one shared copy of it, so equal tuples in
@@ -478,21 +478,22 @@ class ModelClass:
         self._lifts = {}
 
     @functools.cached_property
-    def comp(self):
-        """(g, f) -> the arrow g after f, for every composable pair, ordered
-        by g and then f.  The composite's permutation is g's mapping read
+    def composites(self):
+        """g -> the tuple of composites g after f, for f in the codomain
+        fiber of d(g) in ascending order: composition as rows over the
+        composable pairs.  The composite's permutation is g's mapping read
         along f's, so no StructIso is built."""
         arrow, perm, dom, cod = self.arrow_index, self.iso_perm, self.iso_dom, self.iso_cod
         into = fibers(cod, range(len(self.isos)))
-        comp = {}
+        rows = []
         for gj, g in enumerate(self.isos):
-            after, c = g.mapping.__getitem__, cod[gj]
-            for fj in into.get(dom[gj], ()):
-                hit = arrow.get((dom[fj], c, tuple(map(after, perm[fj]))))
-                if hit is None:
-                    raise InvariantError(f"the composite of arrows {gj} after {fj} is not an arrow")
-                comp[(gj, fj)] = hit
-        return comp
+            after, c, fs = g.mapping.__getitem__, cod[gj], into.get(dom[gj], ())
+            row = tuple([arrow.get((dom[fj], c, tuple(map(after, perm[fj])))) for fj in fs])
+            if None in row:
+                fj = fs[row.index(None)]
+                raise InvariantError(f"the composite of arrows {gj} after {fj} is not an arrow")
+            rows.append(row)
+        return rows
 
     def __repr__(self):
         return (

@@ -115,18 +115,18 @@ class EquivariantSheaf:
         through the row of g.  Only an arrow g where they differ is walked
         pair by pair and point by point."""
         g, act = self.base, self.act
-        d, into = g.d, g.into
+        d, into, place, composites = g.d, g.into, g.place, g.composites
         bad = []
 
         def walk(gq):
+            row = composites[gq]
             for f in into.get(d[gq], ()):
-                gf = g.comp[(gq, f)]
+                gf = row[place[f]]
                 for p in over.get(d[f], ()):
                     if act[(gf, p)] != act[(gq, act[(f, p)])]:
                         bad.append(f"composition axiom fails at ({gq},{f},{p})")
 
-        composites = g.composites
-        if not stays or composites is None:
+        if not stays or g.mistyped:
             for gq in range(g.arrows.size):
                 walk(gq)
             return bad
@@ -452,10 +452,10 @@ def arrow_set_closed(g: TopGroupoid, N):
     for f in N:
         if g.i[f] not in N:
             return False
-    into = fibers(g.c, N)
+    into, rows, place = fibers(g.c, N), g.composites, g.place
     for a in N:
         for b in into.get(g.d[a], ()):
-            if g.comp[(a, b)] not in N:
+            if rows[a][place[b]] not in N:
                 return False
     return True
 
@@ -473,15 +473,16 @@ def moerdijk_classes(g: TopGroupoid, N):
     equivalence raises SiteError."""
     N = frozenset(N)
     U = frozenset(g.d[f] for f in N)
-    into = fibers(g.c, N)
+    into, rows, place = fibers(g.c, N), g.composites, g.place
     classes, class_of, reps = [], {}, []
     for h in range(g.arrows.size):
         if h in class_of or g.d[h] not in U:
             continue
         ci = class_of[h] = len(classes)
         cl = {h}
+        row = rows[h]
         for m in into.get(g.d[h], ()):
-            f = g.comp[(h, m)]
+            f = row[place[m]]
             if g.c[f] != g.c[h]:
                 raise SiteError("codomain not constant on a class")
             if class_of.setdefault(f, ci) != ci:
@@ -493,8 +494,9 @@ def moerdijk_classes(g: TopGroupoid, N):
     # a codomain) differs by an N-arrow
     for cl in classes:
         for f in cl:
+            pf = place[f]
             for h in cl:
-                if g.comp[(g.i[h], f)] not in N:
+                if rows[g.i[h]][pf] not in N:
                     raise SiteError("the N-relation is not transitive on a class")
     return U, classes, class_of, reps
 
@@ -526,10 +528,10 @@ def moerdijk_sheaf(mc: ModelClass, N) -> MoerdijkSiteObject:
     r = tuple(g.c[f] for f in reps)
     # an arrow acts on the classes over its domain through their least arrows
     over = fibers(r, range(len(classes)))
-    act = {}
-    for a in range(g.arrows.size):
+    act, place = {}, g.place
+    for a, row in enumerate(g.composites):
         for ci in over.get(g.d[a], ()):
-            act[(a, ci)] = class_of[g.comp[(a, reps[ci])]]
+            act[(a, ci)] = class_of[row[place[reps[ci]]]]
     points = [("class", ci) for ci in range(len(classes))]
     sheaf = EquivariantSheaf(g, points, space, r, act, mc=mc)
     bad = sheaf.check_invariants()

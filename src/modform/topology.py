@@ -124,13 +124,6 @@ class FinSpace:
         subset = frozenset(subset)
         return all(self.minimal[x] <= subset for x in subset)
 
-    def open_hull(self, subset):
-        """The smallest open superset."""
-        out = set()
-        for x in subset:
-            out |= self.minimal[x]
-        return frozenset(out)
-
     def opens(self, limit=DEFAULT_LATTICE_LIMIT):
         """Every open set: the union closure of the minimal basis.
 

@@ -193,7 +193,7 @@ def test_criterion_10_sem_membership():
     g = TopGroupoid(
         FinSpace(2, [("o0", {0}), ("o1", {1})]),
         FinSpace(2, [("a0", {0}), ("a1", {1})]),
-        (0, 1), (0, 1), (0, 1), (0, 1), {(0, 0): 0, (1, 1): 1},
+        (0, 1), (0, 1), (0, 1), (0, 1), [(0,), (1,)],
     )
     gos = GroupoidOverS(g, smc, (m0, m1), (smc.identity_of[m0], smc.identity_of[m1]))
     full, witnesses = check_strong_fullness(gos)

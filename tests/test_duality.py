@@ -63,20 +63,20 @@ def test_formula_search_counts_equality_theory():
 
 def test_syntactic_category_equality_theory():
     tc = syntactic_category(model_class(EQUALITY_THEORY, S2), 1, 3)
-    assert tc.object_count(0) == 3
-    assert tc.object_count(1) == 2
+    assert len(tc.objects[0]) == 3
+    assert len(tc.objects[1]) == 2
     assert len(tc.arrows[(0, 0)]) == 6
     assert len(tc.arrows[(1, 1)]) == 3
     # identities are present: one functional graph per object onto itself
     for k in (0, 1):
-        for si in range(tc.object_count(k)):
+        for si in range(len(tc.objects[k])):
             assert any(a == si and b == si for a, b, _, _ in tc.arrows[(k, k)])
 
 
 def test_syntactic_category_inconsistent_theory():
     tc = syntactic_category(model_class(INCONSISTENT_THEORY, S2), 2, 2)
     for k in range(3):
-        assert tc.object_count(k) == 1
+        assert len(tc.objects[k]) == 1
     for j in range(3):
         for k in range(3):
             assert len(tc.arrows[(j, k)]) == 1
@@ -264,7 +264,7 @@ def test_unit_one_object_groupoid():
     m0 = smc.find_model(IndexedStructure([0], [(0,)]))
     obj = FinSpace(1, [("o", {0})])
     arr = FinSpace(1, [("a", {0})])
-    g = TopGroupoid(obj, arr, (0,), (0,), (0,), (0,), {(0, 0): 0})
+    g = TopGroupoid(obj, arr, (0,), (0,), (0,), (0,), [(0,)])
     gos = GroupoidOverS(g, smc, (m0,), (smc.identity_of[m0],))
     assert gos.check() == []
     un = unit(form_functor(gos, 1))
@@ -302,7 +302,7 @@ def test_strong_fullness_counterexample():
     m1 = smc.find_model(IndexedStructure([1], [(1,)]))
     obj = FinSpace(2, [("o0", {0}), ("o1", {1})])
     arr = FinSpace(2, [("a0", {0}), ("a1", {1})])
-    g = TopGroupoid(obj, arr, (0, 1), (0, 1), (0, 1), (0, 1), {(0, 0): 0, (1, 1): 1})
+    g = TopGroupoid(obj, arr, (0, 1), (0, 1), (0, 1), (0, 1), [(0,), (1,)])
     gos = GroupoidOverS(g, smc, (m0, m1), (smc.identity_of[m0], smc.identity_of[m1]))
     ok, witnesses = check_strong_fullness(gos)
     assert not ok
@@ -412,7 +412,7 @@ def test_hom_bijection_one_object_groupoid():
     smc = model_class(EQUALITY_THEORY, S2)
     m0 = smc.find_model(IndexedStructure([0], [(0,)]))
     g = TopGroupoid(
-        FinSpace(1, [("o", {0})]), FinSpace(1, [("a", {0})]), (0,), (0,), (0,), (0,), {(0, 0): 0}
+        FinSpace(1, [("o", {0})]), FinSpace(1, [("a", {0})]), (0,), (0,), (0,), (0,), [(0,)]
     )
     gos = GroupoidOverS(g, smc, (m0,), (smc.identity_of[m0],))
     res = check_hom_bijection(gos, parse_theory("rel P/1"), 1)

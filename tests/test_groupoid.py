@@ -8,6 +8,7 @@ import pytest
 from modform import groupoid
 from modform.errors import InvariantError
 from modform.groupoid import (
+    GroupoidMorphism,
     TopGroupoid,
     build_model_groupoid,
     certificate_open,
@@ -74,39 +75,54 @@ def test_algebra_and_continuity_small_sizes(text, n):
     assert all(g.check_continuity().values())
 
 
-def _with_table(g, table):
-    """A copy of a groupoid with another composition table."""
-    return TopGroupoid(g.objects, g.arrows, g.d, g.c, g.e, g.i, table)
+def _rows(g):
+    """A mutable copy of a groupoid's composite rows."""
+    return [list(row) for row in g.composites]
+
+
+def _with_rows(g, rows):
+    """A copy of a groupoid with other composite rows."""
+    return TopGroupoid(g.objects, g.arrows, g.d, g.c, g.e, g.i, [tuple(row) for row in rows])
 
 
 def test_algebra_reports_a_missing_composable_pair():
+    # a short row: the composite of its last pair is missing
     g = build_model_groupoid(model_class(EQUALITY_THEORY, IndexSet(2)))
-    table = dict(g.comp)
-    del table[next(g.composable())]
-    assert _with_table(g, table).check_algebra() == [
+    rows = _rows(g)
+    rows[0].pop()
+    assert _with_rows(g, rows).check_algebra() == [
         "composition table domain is not the composable pairs"
     ]
 
 
 def test_algebra_reports_a_non_composable_pair():
+    # a long row: one entry more than the fiber has pairs
     g = build_model_groupoid(model_class(EQUALITY_THEORY, IndexSet(2)))
     n = g.arrows.size
     a, b = next((a, b) for a in range(n) for b in range(n) if g.d[a] != g.c[b])
-    table = dict(g.comp)
-    table[(a, b)] = a
-    assert _with_table(g, table).check_algebra() == [
+    rows = _rows(g)
+    rows[a].append(a)
+    assert _with_rows(g, rows).check_algebra() == [
         "composition table domain is not the composable pairs"
     ]
+
+
+def test_algebra_reports_a_wrong_number_of_rows():
+    g = build_model_groupoid(model_class(EQUALITY_THEORY, IndexSet(2)))
+    for rows in (_rows(g)[:-1], _rows(g) + [()]):
+        assert _with_rows(g, rows).check_algebra() == [
+            "composition table domain is not the composable pairs"
+        ]
 
 
 def test_algebra_reports_a_composite_with_wrong_endpoints():
     g = build_model_groupoid(model_class(EQUALITY_THEORY, IndexSet(2)))
     a, b = next(g.composable())
-    ab = g.comp[(a, b)]
+    ab = g.compose(a, b)
     x = next(x for x in range(g.arrows.size) if (g.d[x], g.c[x]) != (g.d[ab], g.c[ab]))
-    table = dict(g.comp)
-    table[(a, b)] = x
-    assert _with_table(g, table).check_algebra() == [f"m({a},{b}) has wrong endpoints"]
+    rows = _rows(g)
+    rows[a][g.place[b]] = x
+    assert _with_rows(g, rows).check_algebra() == [f"m({a},{b}) has wrong endpoints"]
 
 
 def test_algebra_reports_broken_associativity():
@@ -119,49 +135,53 @@ def test_algebra_reports_broken_associativity():
         for a, b in gr.composable()
         if a not in identities and b not in identities and a != gr.i[b]
         for x in range(n)
-        if x != gr.comp[(a, b)] and (gr.d[x], gr.c[x]) == (gr.d[b], gr.c[a])
+        if x != gr.compose(a, b) and (gr.d[x], gr.c[x]) == (gr.d[b], gr.c[a])
     )
-    table = dict(gr.comp)
-    table[(a, b)] = x
+    rows = _rows(gr)
+    rows[a][gr.place[b]] = x
+    broken = _with_rows(gr, rows)
+    m = broken.compose
     # every failing triple, found by scanning all triples of arrows
     want = [
         f"associativity fails at ({h},{g},{f})"
         for h in range(n)
         for g in range(n)
         for f in range(n)
-        if gr.d[h] == gr.c[g] and gr.d[g] == gr.c[f]
-        and table[(table[(h, g)], f)] != table[(h, table[(g, f)])]
+        if gr.d[h] == gr.c[g] and gr.d[g] == gr.c[f] and m(m(h, g), f) != m(h, m(g, f))
     ]
-    assert want and _with_table(gr, table).check_algebra() == want
+    assert want and broken.check_algebra() == want
 
 
 def test_algebra_reports_a_moved_pair():
-    # as many keys as composable pairs, but one of them is not composable
+    # as many entries as composable pairs, but one row short and another
+    # long: a composite moved to a pair that is not composable
     g = build_model_groupoid(model_class(EQUALITY_THEORY, IndexSet(2)))
     n = g.arrows.size
-    a, b = next((a, b) for a in range(n) for b in range(n) if g.d[a] != g.c[b])
-    table = dict(g.comp)
-    table[(a, b)] = table.pop(next(g.composable()))
-    assert _with_table(g, table).check_algebra() == [
+    first = next(g.composable())
+    a, b = next((a, b) for a in range(n) for b in range(n) if g.d[a] != g.c[b] and a != first[0])
+    rows = _rows(g)
+    rows[a].append(rows[first[0]].pop(g.place[first[1]]))
+    assert sum(map(len, rows)) == sum(1 for _ in g.composable())
+    assert _with_rows(g, rows).check_algebra() == [
         "composition table domain is not the composable pairs"
     ]
 
 
 def triple_walk_laws(g):
-    """The unit, inverse and associativity laws of a well-typed table,
-    with associativity checked on every composable triple."""
+    """The unit, inverse and associativity laws of well-typed rows, with
+    associativity checked on every composable triple."""
     bad = []
-    comp = g.comp
+    m = g.compose
     for f in range(g.arrows.size):
-        if comp[(g.e[g.c[f]], f)] != f or comp[(f, g.e[g.d[f]])] != f:
+        if m(g.e[g.c[f]], f) != f or m(f, g.e[g.d[f]]) != f:
             bad.append(f"unit law fails at {f}")
-        if comp[(g.i[f], f)] != g.e[g.d[f]]:
+        if m(g.i[f], f) != g.e[g.d[f]]:
             bad.append(f"inverse law fails at {f}")
-        if comp[(f, g.i[f])] != g.e[g.c[f]]:
+        if m(f, g.i[f]) != g.e[g.c[f]]:
             bad.append(f"inverse law (other side) fails at {f}")
     for h, k in g.composable():
         for f in g.into.get(g.d[k], ()):
-            if comp[(comp[(h, k)], f)] != comp[(h, comp[(k, f)])]:
+            if m(m(h, k), f) != m(h, m(k, f)):
                 bad.append(f"associativity fails at ({h},{k},{f})")
     return bad
 
@@ -172,19 +192,20 @@ def test_row_associativity_matches_the_triple_walk(text, n):
     gr = build_model_groupoid(model_class(theory, IndexSet(n)))
     ends = {}
     for pair in gr.composable():
-        gf = gr.comp[pair]
+        gf = gr.compose(*pair)
         ends.setdefault((gr.d[gf], gr.c[gf]), []).append(pair)
     rng = random.Random(17)
     broken = 0
     for _ in range(12):
         # two composites with the same endpoints but different values, swapped
-        pairs = rng.choice([ps for ps in ends.values() if len({gr.comp[p] for p in ps}) > 1])
+        pairs = rng.choice([ps for ps in ends.values() if len({gr.compose(*p) for p in ps}) > 1])
         p, q = rng.sample(pairs, 2)
-        while gr.comp[p] == gr.comp[q]:
+        while gr.compose(*p) == gr.compose(*q):
             p, q = rng.sample(pairs, 2)
-        table = dict(gr.comp)
-        table[p], table[q] = table[q], table[p]
-        swapped = _with_table(gr, table)
+        rows = _rows(gr)
+        (pg, pf), (qg, qf) = p, q
+        rows[pg][gr.place[pf]], rows[qg][gr.place[qf]] = gr.compose(*q), gr.compose(*p)
+        swapped = _with_rows(gr, rows)
         want = triple_walk_laws(swapped)
         assert swapped.check_algebra() == want
         broken += any(m.startswith("associativity") for m in want)
@@ -349,6 +370,20 @@ def test_forgetful_morphism():
     for i, M in enumerate(tmc.models):
         assert smc.models[m.f0[i]].domain == M.domain
         assert smc.models[m.f0[i]].blocks == M.blocks
+
+
+def test_morphism_reports_the_m_square_on_a_pair_that_does_not_compose():
+    # sending an arrow to one with another domain breaks the d square, and
+    # the image of a composable pair through it no longer composes in dst
+    g = build_model_groupoid(model_class(EQUALITY_THEORY, IndexSet(2)))
+    n = g.arrows.size
+    j = next(j for j in range(n) if j not in g.e)
+    x = next(x for x in range(n) if g.d[x] != g.d[j])
+    f1 = list(range(n))
+    f1[j] = x
+    bad = GroupoidMorphism(g, g, tuple(range(g.objects.size)), tuple(f1)).check()
+    assert f"d square fails at arrow {j}" in bad
+    assert f"m square fails at ({j},{g.e[g.d[j]]})" in bad
 
 
 def test_no_limit_means_no_bound(monkeypatch):

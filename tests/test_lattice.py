@@ -67,11 +67,16 @@ def reference_union_closure(gens, limit=300_000):
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
+def open_hull(space, subset):
+    """The smallest open superset: the union of the minimal neighbourhoods."""
+    return frozenset().union(*(space.minimal_nbhd(x) for x in subset))
+
+
 def reference_minimal_stable_open(sheaf, p):
     """Alternate the open hull and the orbit closure until neither grows."""
     cur = frozenset([p])
     while True:
-        nxt = sheaf.space.open_hull(sheaf.stabilize(cur))
+        nxt = open_hull(sheaf.space, sheaf.stabilize(cur))
         if nxt == cur:
             return cur
         cur = nxt
@@ -90,7 +95,7 @@ def reference_minimal_stable(g, N, x):
         for f in N:
             if g.d[f] in sat:
                 sat.add(g.c[f])
-        nxt = g.objects.open_hull(sat)
+        nxt = open_hull(g.objects, sat)
         if nxt == cur:
             return cur
         cur = nxt

@@ -304,10 +304,9 @@ def test_class_closure_invariants():
         assert mc.identity_of[i] is not None
     for j in range(len(mc.isos)):
         assert mc.iso_dom[mc.inverse_of[j]] == mc.iso_cod[j]
-    for g in range(len(mc.isos)):
-        for f in range(len(mc.isos)):
-            if mc.iso_dom[g] == mc.iso_cod[f]:
-                assert (g, f) in mc.comp
+    # one composite for each arrow f composable with g
+    for g, row in enumerate(mc.composites):
+        assert len(row) == sum(1 for f in range(len(mc.isos)) if mc.iso_dom[g] == mc.iso_cod[f])
 
 
 def test_pruned_search_equals_naive_filter():

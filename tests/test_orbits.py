@@ -14,11 +14,12 @@ import random
 import pytest
 
 from modform.errors import InterpretationError, InvariantError
-from modform.groupoid import mod_on_interpretation
+from modform.groupoid import build_model_groupoid, mod_on_interpretation
 from modform.logic import EQUALITY_THEORY, Interpretation, Rel, Var, fic
 from modform.models import (
     IndexSet,
     IndexedStructure,
+    ModelClass,
     StructIso,
     build_model_class,
     canonical_form,
@@ -97,11 +98,10 @@ def test_arrow_lookups_match_structiso_reference(name, n):
 @pytest.mark.parametrize("name,n", [("T_eq", 2), ("P/1", 2), ("symE", 2), ("T_eq", 3)])
 def test_composites_match_structiso_reference(name, n):
     mc = build_model_class(THEORIES[name], IndexSet(n))
+    gr = build_model_groupoid(mc)
     by_key = {f._key: j for j, f in enumerate(mc.isos)}
-    rng = random.Random(3)
-    pairs = list(mc.comp.items())
-    for (g, f), gf in rng.sample(pairs, min(200, len(pairs))):
-        assert gf == by_key[mc.isos[g].compose(mc.isos[f])._key]
+    for g, f in gr.composable():
+        assert gr.compose(g, f) == by_key[mc.isos[g].compose(mc.isos[f])._key]
 
 
 @pytest.mark.parametrize("name,n", CASES)
@@ -163,7 +163,7 @@ def test_equality_theory_counts_at_four():
     mc = build_model_class(EQUALITY_THEORY, IndexSet(4))
     assert len(mc.models) == sum(c) == 52
     assert len(mc.isos) == sum(ck * ck * math.factorial(k) for k, ck in enumerate(c)) == 2100
-    assert "comp" not in vars(mc)
+    assert "composites" not in vars(mc)
 
 
 def test_symmetric_relation_counts_at_four():
@@ -195,7 +195,7 @@ def test_symmetric_relation_counts_at_four():
     assert len(mc.models) == models
     assert len(mc.isos) == isos == 73_427
     assert len({canonical_form(M) for M in mc.models}) == classes == 119
-    assert "comp" not in vars(mc)
+    assert "composites" not in vars(mc)
 
 
 def test_missing_lookups_raise_typed_errors():
@@ -210,6 +210,18 @@ def test_missing_lookups_raise_typed_errors():
         mc.find_model(outside)
     with pytest.raises(InvariantError, match="is not a model"):
         mc.find_iso(StructIso(outside, outside, {0: 0, 1: 1}))
+
+
+def test_missing_composite_raises_a_typed_error():
+    # without the identity of a one-block model, an arrow after its inverse
+    # has no arrow to name it
+    mc = _class("T_eq", 2)
+    M = next(i for i, M in enumerate(mc.models) if len(M.keys) == 1)
+    ident = mc.identity_of[M]
+    isos = [f for j, f in enumerate(mc.isos) if j != ident]
+    broken = ModelClass(mc.theory, mc.S, mc.models, isos)
+    with pytest.raises(InvariantError, match=r"the composite of arrows \d+ after \d+ is not an arrow"):
+        broken.composites
 
 
 def test_reduct_outside_the_source_class_is_an_interpretation_error():

@@ -32,7 +32,7 @@ def reference_classes(g, N):
     over = [f for f in range(g.arrows.size) if g.d[f] in U]
     into = fibers(g.c, over)
     return {
-        f: frozenset(h for h in into[g.c[f]] if g.comp[(g.i[h], f)] in N) for f in over
+        f: frozenset(h for h in into[g.c[f]] if g.compose(g.i[h], f) in N) for f in over
     }
 
 

@@ -120,7 +120,9 @@ def test_hull_membership():
     space = model_space(mc)
     m01 = model_idx(mc, [0, 1], [(0,), (1,)])
     assert not space.is_open({m01})
-    assert space.open_hull({m01}) == space.minimal_nbhd(m01)
+    assert space.minimal_nbhd(m01) == frozenset.intersection(
+        *(u for u in space.opens() if m01 in u)
+    )
 
 
 def test_cp_filters_discrete():

@@ -221,7 +221,7 @@ def one_object():
     smc = model_class(EQUALITY_THEORY, S2)
     m0 = smc.find_model(IndexedStructure([0], [(0,)]))
     g = TopGroupoid(
-        FinSpace(1, [("o", {0})]), FinSpace(1, [("a", {0})]), (0,), (0,), (0,), (0,), {(0, 0): 0}
+        FinSpace(1, [("o", {0})]), FinSpace(1, [("a", {0})]), (0,), (0,), (0,), (0,), [(0,)]
     )
     return GroupoidOverS(g, smc, (m0,), (smc.identity_of[m0],))
 
@@ -233,7 +233,7 @@ def two_objects():
     g = TopGroupoid(
         FinSpace(2, [("o0", {0}), ("o1", {1})]),
         FinSpace(2, [("a0", {0}), ("a1", {1})]),
-        (0, 1), (0, 1), (0, 1), (0, 1), {(0, 0): 0, (1, 1): 1},
+        (0, 1), (0, 1), (0, 1), (0, 1), [(0,), (1,)],
     )
     return GroupoidOverS(g, smc, (m0, m1), (smc.identity_of[m0], smc.identity_of[m1]))
 
