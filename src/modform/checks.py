@@ -11,11 +11,10 @@ object.
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter
 
 from .duality import enumerate_stable_arrow_sets
 from .errors import InvariantError
-from .groupoid import build_model_groupoid, open_image_d, structure_map_preimages
+from .groupoid import OpennessPlan, build_model_groupoid, structure_map_preimages
 from .logic import TOP, Sequent, fic
 from .models import ModelClass, star_headroom, star_lemma, star_surjection
 from .search import FormulaSearch
@@ -160,57 +159,54 @@ def _basic_open_m_choices(mc, search, ctx_max, depth):
     return out
 
 
-def _openness_instances(mc: ModelClass, depth, ctx_max):
-    """Every bounded basic open arrow set of the openness sweep, in sweep
-    order: by domain open, then codomain open, then preservation pair set.
+def _openness_sweep(mc: ModelClass, depth, ctx_max):
+    """The bounded basic open arrow sets of the openness sweep: the domain
+    opens and the (codomain open, pairs) cases.  The sweep visits each
+    domain open with each case, by domain open, then codomain open, then
+    preservation pair set.
 
     The opens are distinct and so are the pair sets, so each instance
-    occurs once.  Every domain open is followed by the same sequence of
-    (codomain open, pairs)."""
+    occurs once."""
     doms = _basic_open_m_choices(mc, FormulaSearch(mc), ctx_max, depth)
     elems = list(mc.S.elements())
     all_pairs = [(a, b) for a in elems for b in elems]
     pair_sets = [
         combo for n in range(len(all_pairs) + 1) for combo in itertools.combinations(all_pairs, n)
     ]
-    for dom in doms:
-        for cod in doms:
-            for pairs in pair_sets:
-                yield BasicOpenI(dom, pairs, cod)
+    return doms, [(cod, pairs) for cod in doms for pairs in pair_sets]
 
 
 def check_openness(mc: ModelClass, depth=2, ctx_max=2):
     """Image of every bounded basic open of the arrow space under d equals
     its certificate union, gated on star headroom.
 
-    Each instance is decided once per domain point set.  open_image_d reads
-    the domain open only through basic_open_points: the domain points it
-    starts from and the arrow set it filters by that set.  The rest of it
-    depends on the pairs and the codomain open alone.  So its result, both
-    invariant guards included, is a function of (domain points, pairs,
-    codomain open).  Every domain open is followed by the same (codomain
-    open, pairs) sequence, so the statuses of the first domain open with a
-    given point set, in sweep order, are those of every later one; they
-    are kept for the length of one call.  Every instance still counts, and
-    each failing instance is listed, in sweep order.
+    open_image_d reads the domain open only through its points, and only
+    after the plan of its (pairs, codomain open) case, which does not read
+    it at all.  So the sweep runs case by case: it builds one OpennessPlan,
+    decides it once for each distinct domain point set, and drops it, so
+    one plan is alive at a time.  The statuses are kept per domain point
+    set for the length of one call.  Every instance still counts, and each
+    failing instance is listed, in sweep order.
     """
+    doms, cases = _openness_sweep(mc, depth, ctx_max)
+    points = [basic_open_points(mc, dom) for dom in doms]
+    decided = {p: [] for p in points}  # domain points -> status per case, in case order
+    for cod, pairs in cases:
+        plan = OpennessPlan(mc, pairs, cod)
+        for p, statuses in decided.items():
+            statuses.append(plan.decide(p)["status"])
     verified = 0
     gated = 0
     failures = []
-    decided = {}  # domain points -> statuses of the instances over a domain open
-    sweep = _openness_instances(mc, depth, ctx_max)
-    for dom, over_dom in itertools.groupby(sweep, key=attrgetter("dom")):
-        points = basic_open_points(mc, dom)
-        if points not in decided:
-            over_dom = list(over_dom)
-            decided[points] = [open_image_d(mc, v)["status"] for v in over_dom]
-        for v, status in zip(over_dom, decided[points], strict=True):
-            if status == "verified":
-                verified += 1
-            elif status == "gated":
-                gated += 1
-            else:
-                failures.append(str(v))
+    for dom, p in zip(doms, points):
+        statuses = decided[p]
+        verified += statuses.count("verified")
+        gated += statuses.count("gated")
+        failures.extend(
+            str(BasicOpenI(dom, pairs, cod))
+            for (cod, pairs), status in zip(cases, statuses, strict=True)
+            if status == "failed"
+        )
     return {
         "status": _status(failures, gated),
         "verified": verified,

@@ -381,14 +381,116 @@ def certificate_open(v: BasicOpenI, ks):
     return BasicOpenM(fic(ctx, conj([phi, psi])), params)
 
 
-def _equated_points(mc: ModelClass, formula, params, equations):
-    """The points of <formula, params> in which each index pair of
-    `equations` names one block: the basic open of the formula conjoined
-    with an equation on fresh variables per pair."""
-    out = basic_open_points(mc, BasicOpenM(formula, tuple(params)))
+def _equated(mc: ModelClass, points, equations):
+    """The members of `points` in which each index pair of `equations`
+    names one block."""
     for p, q in equations:
-        out = out & mc.equal(p, q)
-    return out
+        points = points & mc.equal(p, q)
+    return points
+
+
+class OpennessPlan:
+    """What open_image_d computes for one (pairs, codomain open) case
+    before it reads the domain open; `decide` finishes one domain point set.
+
+    The plan holds the normalized pairs' sources and targets, the distinct
+    codomain parameters and, over all domain models, the arrows of the case
+    before and after normalization, which must agree (else InvariantError).
+    A domain open only filters those arrows by their domain model, as
+    arrows_between does, so that guard holds on every domain point set.
+    For each arrow, in ascending order, the plan keeps its domain model and
+    its codomain choice `ks`, once per distinct pair: a repeat adds neither
+    an image point nor a certificate entry, and dropping it keeps the order
+    of first choice.  The codomain points of each `ks` are memoized for the
+    life of the plan, which check_openness drops after its case.
+    """
+
+    def __init__(self, mc: ModelClass, pairs, cod: BasicOpenM):
+        self.mc, self.pairs, self.cod = mc, pairs, cod
+        norm_pairs, dom_extra, self._cod_extra = _normalize_pairs(pairs)
+        cod_params = tuple(cod.params) + tuple(x for eq in self._cod_extra for x in eq)
+        e_params = tuple(dict.fromkeys(cod_params))  # first occurrences, in order
+        self._slot = {e: i for i, e in enumerate(e_params)}
+        self._cod_points = {}  # ks -> codomain points
+        self._sources = tuple(b for b, _ in norm_pairs)
+        self._targets = e_params + tuple(c for _, c in norm_pairs)
+
+        everywhere = trivial_open_m()
+        dom_models = _equated(mc, basic_open_points(mc, everywhere), dom_extra)
+        self._base = _equated(mc, dom_models, [(b, b) for b in self._sources])
+        arrows = arrows_between(mc, dom_models, norm_pairs, self.cod_points(e_params))
+        if basic_open_arrows(mc, BasicOpenI(everywhere, pairs, cod)) != arrows:
+            raise InvariantError("normalization changed the arrow set")
+
+        forced = {c: b for b, c in norm_pairs}  # preservation target -> its source
+        entries = {}  # (domain model, ks), in order of first arrow
+        for j in sorted(arrows):
+            f = mc.isos[j]
+            M, N = f.dom, f.cod
+            inv = {w: k for k, w in f.mapping.items()}
+            ks = []
+            for e in e_params:
+                if e in forced:
+                    ks.append(forced[e])
+                    continue
+                pre_key = inv[N.block_key(e)]
+                block = next(blk for blk in M.blocks if blk[0] == pre_key)
+                taken = set(self._sources) | set(ks)
+                ks.append(next((x for x in block if x not in taken), block[0]))
+            entries.setdefault((mc.iso_dom[j], tuple(ks)))
+        self._entries = tuple(entries)
+
+    def cod_points(self, ks):
+        """The codomain open's points with its parameters read at `ks`, one
+        index per distinct codomain parameter, and the equations the pairs
+        force on the codomain."""
+        hit = self._cod_points.get(ks)
+        if hit is None:
+            at = lambda e: ks[self._slot[e]]
+            params = tuple(map(at, self.cod.params))
+            hit = basic_open_points(self.mc, BasicOpenM(self.cod.formula, params))
+            hit = _equated(self.mc, hit, [(at(x), at(y)) for x, y in self._cod_extra])
+            self._cod_points[ks] = hit
+        return hit
+
+    def decide(self, dom_points):
+        """open_image_d of (a domain open with these points, the pairs, the
+        codomain open)."""
+        kept = [(x, ks) for x, ks in self._entries if x in dom_points]
+        d_image = frozenset(x for x, _ in kept)
+        base = dom_points & self._base
+        chosen = {ks: base & self.cod_points(ks) for ks in dict.fromkeys(ks for _, ks in kept)}
+        certificate = list(chosen.items())
+
+        union = frozenset().union(*chosen.values())
+        if not d_image <= union:
+            raise InvariantError("domain image is not covered by its certificate")
+
+        gates = []
+        failures = []
+        if union != d_image:
+            for ks, pts in certificate:
+                dedup = {}
+                consistent = True
+                for s, t in zip(ks + self._sources, self._targets):
+                    if dedup.get(t, s) != s:
+                        consistent = False
+                    dedup[t] = s
+                srcs, tgts = tuple(dedup.values()), tuple(dedup)
+                for K_idx in sorted(pts - d_image):
+                    if consistent and star_headroom(self.mc.models[K_idx], srcs, tgts, self.mc.S):
+                        failures.append((K_idx, ks))
+                    else:
+                        gates.append((K_idx, ks))
+        status = "failed" if failures else ("gated" if gates else "verified")
+        return {
+            "image": d_image,
+            "certificate": certificate,
+            "union": union,
+            "status": status,
+            "gates": gates,
+            "failures": failures,
+        }
 
 
 def open_image_d(mc: ModelClass, v: BasicOpenI):
@@ -412,77 +514,12 @@ def open_image_d(mc: ModelClass, v: BasicOpenI):
     Instances whose star construction lacks index headroom are reported
     as gated rather than failed; gates and failures are (model index, ks)
     pairs.
+
+    Only the last steps read the domain open, and only through its points:
+    this is OpennessPlan(mc, v.pairs, v.cod).decide on them, so a sweep can
+    build each plan once and decide it for many domain opens.
     """
-    pairs, dom_extra, cod_extra = _normalize_pairs(v.pairs)
-    cod_params = tuple(v.cod.params) + tuple(x for eq in cod_extra for x in eq)
-    e_params = tuple(dict.fromkeys(cod_params))  # first occurrences, in order
-    slot = {e: i for i, e in enumerate(e_params)}
-
-    def cod_points(ks):
-        at = lambda e: ks[slot[e]]
-        equations = [(at(x), at(y)) for x, y in cod_extra]
-        return _equated_points(mc, v.cod.formula, map(at, v.cod.params), equations)
-
-    dom_points = _equated_points(mc, v.dom.formula, v.dom.params, dom_extra)
-    arrows = basic_open_arrows(mc, v)
-    if arrows_between(mc, dom_points, pairs, cod_points(e_params)) != arrows:
-        raise InvariantError("normalization changed the arrow set")
-    d_image = frozenset(mc.iso_dom[j] for j in arrows)
-
-    sources = tuple(b for b, _ in pairs)
-    forced = {c: b for b, c in pairs}  # preservation target -> its source
-    base = dom_points
-    for b in sources:
-        base = base & mc.equal(b, b)
-    chosen = {}  # ks -> points, in order of first choice
-    for j in sorted(arrows):
-        f = mc.isos[j]
-        M, N = f.dom, f.cod
-        inv = {w: k for k, w in f.mapping.items()}
-        ks = []
-        for e in e_params:
-            if e in forced:
-                ks.append(forced[e])
-                continue
-            pre_key = inv[N.block_key(e)]
-            block = next(blk for blk in M.blocks if blk[0] == pre_key)
-            taken = set(sources) | set(ks)
-            ks.append(next((x for x in block if x not in taken), block[0]))
-        ks = tuple(ks)
-        if ks not in chosen:
-            chosen[ks] = base & cod_points(ks)
-    certificate = list(chosen.items())
-
-    union = frozenset().union(*chosen.values())
-    if not d_image <= union:
-        raise InvariantError("domain image is not covered by its certificate")
-
-    gates = []
-    failures = []
-    if union != d_image:
-        targets = e_params + tuple(c for _, c in pairs)
-        for ks, pts in certificate:
-            dedup = {}
-            consistent = True
-            for s, t in zip(ks + sources, targets):
-                if dedup.get(t, s) != s:
-                    consistent = False
-                dedup[t] = s
-            srcs, tgts = tuple(dedup.values()), tuple(dedup)
-            for K_idx in sorted(pts - d_image):
-                if consistent and star_headroom(mc.models[K_idx], srcs, tgts, mc.S):
-                    failures.append((K_idx, ks))
-                else:
-                    gates.append((K_idx, ks))
-    status = "failed" if failures else ("gated" if gates else "verified")
-    return {
-        "image": d_image,
-        "certificate": certificate,
-        "union": union,
-        "status": status,
-        "gates": gates,
-        "failures": failures,
-    }
+    return OpennessPlan(mc, v.pairs, v.cod).decide(basic_open_points(mc, v.dom))
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,16 @@ sweep: the same status, image and union, the same gates and failures as
 the reference's opens, in the same order, with the points the formulas
 evaluate to.
 
-check_openness decides each instance once per domain point set; the tests
-at the end hold that memo to open_image_d on every instance."""
+check_openness builds one OpennessPlan per (codomain open, pairs) case and
+decides it once per domain point set; the tests at the end hold that sweep
+to open_image_d on every instance, also on a corrupted class."""
 
 import random
 
 import pytest
 
 from modform import checks, groupoid
-from modform.checks import _basic_open_m_choices, _openness_instances, check_openness
+from modform.checks import _basic_open_m_choices, _openness_sweep, check_openness
 from modform.errors import InvariantError, SignatureError
 from modform.groupoid import certificate_open, open_image_d
 from modform.logic import EQUALITY_THEORY, Eq, Var, conj, fic, substitute
@@ -186,8 +187,9 @@ def reference_open_image_d(mc, v):
 
 def visited_instances(mc, depth):
     """Every arrow array of check_openness's sweep, in sweep order: all of
-    them, not only those its memo hands to open_image_d."""
-    return list(_openness_instances(mc, depth, 2))
+    them, not only those it decides."""
+    doms, cases = _openness_sweep(mc, depth, 2)
+    return [BasicOpenI(dom, pairs, cod) for dom in doms for cod, pairs in cases]
 
 
 def assert_matches_reference(mc, v):
@@ -225,7 +227,7 @@ def test_open_image_d_matches_formula_reference(name, depth, sample):
     ("T_eq", 2, 2, 19), ("P/1", 2, 1, 28), ("symE", 2, 1, 32), ("T_eq", 3, 2, 36),
 ])
 def test_basic_open_choices_are_distinct(name, n, depth, count):
-    # _openness_instances yields every (dom, pairs, cod) once without a
+    # _openness_sweep yields every (dom, pairs, cod) once without a
     # seen-set because these opens are distinct
     mc = model_class(THEORIES[name], IndexSet(n))
     choices = _basic_open_m_choices(mc, FormulaSearch(mc), 2, depth)
@@ -252,7 +254,8 @@ def test_uncovered_image_names_the_cover_check(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the memo of check_openness: one decision per domain point set
+# the sweep of check_openness: one plan per case, one decision per domain
+# point set
 
 SWEEPS = [("T_eq", 2), ("P/1", 1), ("symE", 1)]
 
@@ -262,16 +265,36 @@ def memo_key(mc, v):
 
 
 def reference_sweep(mc, depth):
-    """check_openness without its memo: checks.open_image_d on every
-    instance, in sweep order."""
+    """check_openness without its plans and their reuse: open_image_d on
+    every instance, in sweep order."""
     out = {"verified": 0, "gated": 0, "failures": []}
-    for v in _openness_instances(mc, depth, 2):
-        status = checks.open_image_d(mc, v)["status"]
+    for v in visited_instances(mc, depth):
+        status = open_image_d(mc, v)["status"]
         if status == "failed":
             out["failures"].append(str(v))
         else:
             out[status] += 1
     return out
+
+
+def recording_sweep(mc, depth, monkeypatch):
+    """check_openness, with the (pairs, codomain open) of each plan it
+    builds and the (domain points, pairs, codomain open) of each decision."""
+    plans, decisions = [], []
+
+    class RecordingPlan(groupoid.OpennessPlan):
+        def __init__(self, mc, pairs, cod):
+            super().__init__(mc, pairs, cod)
+            plans.append((pairs, cod))
+
+        def decide(self, dom_points):
+            decisions.append((dom_points, self.pairs, self.cod))
+            return super().decide(dom_points)
+
+    with monkeypatch.context() as m:
+        m.setattr(checks, "OpennessPlan", RecordingPlan)
+        res = check_openness(mc, depth=depth)
+    return res, plans, decisions
 
 
 @pytest.mark.parametrize("name,depth", SWEEPS)
@@ -282,8 +305,8 @@ def test_open_image_d_sees_the_domain_open_only_through_its_points(name, depth):
     for dom in doms:
         groups.setdefault(basic_open_points(mc, dom), []).append(dom)
     shared = [g for g in groups.values() if len(g) > 1]
-    assert shared  # the memo has instances to share
-    cases = {(v.pairs, v.cod) for v in _openness_instances(mc, depth, 2)}
+    assert shared  # the sweep has instances to share
+    cases = {(v.pairs, v.cod) for v in visited_instances(mc, depth)}
     for group in shared:
         for pairs, cod in cases:
             first = open_image_d(mc, BasicOpenI(group[0], pairs, cod))
@@ -291,28 +314,26 @@ def test_open_image_d_sees_the_domain_open_only_through_its_points(name, depth):
                 assert open_image_d(mc, BasicOpenI(dom, pairs, cod)) == first, (dom, pairs, cod)
 
 
+# (pairs, codomain open) cases of each sweep: one plan each
+CASES = {"T_eq": 304, "P/1": 448, "symE": 512}
+
+
 @pytest.mark.parametrize("name,depth,count,decided", [
     ("T_eq", 2, 5776, 2128), ("P/1", 1, 12544, 4480), ("symE", 1, 16384, 5632),
 ])
 def test_memoized_sweep_matches_memo_free_loop(name, depth, count, decided, monkeypatch):
     mc = model_class(THEORIES[name], IndexSet(2))
-    calls = []
-
-    def record(mc, v):
-        calls.append(v)
-        return open_image_d(mc, v)
-
-    with monkeypatch.context() as m:
-        m.setattr(checks, "open_image_d", record)
-        res = check_openness(mc, depth=depth)
+    res, plans, decisions = recording_sweep(mc, depth, monkeypatch)
     ref = reference_sweep(mc, depth)
     assert {k: res[k] for k in ref} == ref
     instances = visited_instances(mc, depth)
     assert len(instances) == count
+    # every (pairs, codomain open) plan is built once
+    assert len(plans) == len(set(plans)) == CASES[name]
+    assert set(plans) == {(v.pairs, v.cod) for v in instances}
     # every key is decided, once
-    keys = [memo_key(mc, v) for v in calls]
-    assert len(keys) == len(set(keys)) == decided
-    assert set(keys) == {memo_key(mc, v) for v in instances}
+    assert len(decisions) == len(set(decisions)) == decided
+    assert set(decisions) == {memo_key(mc, v) for v in instances}
 
 
 @pytest.mark.parametrize("name,depth", SWEEPS)
@@ -320,13 +341,16 @@ def test_memoized_sweep_lists_every_failing_instance(name, depth, monkeypatch):
     mc = model_class(THEORIES[name], IndexSet(2))
     instances = visited_instances(mc, depth)
     failing = {memo_key(mc, v) for v in random.Random(20261019).sample(instances, 40)}
+    decide = groupoid.OpennessPlan.decide
 
-    def fail_some(mc, v):
-        if memo_key(mc, v) in failing:
+    def fail_some(plan, dom_points):
+        if (dom_points, plan.pairs, plan.cod) in failing:
             return {"status": "failed"}
-        return open_image_d(mc, v)
+        return decide(plan, dom_points)
 
-    monkeypatch.setattr(checks, "open_image_d", fail_some)
+    # open_image_d decides through the same method, so the reference sees
+    # the same failures
+    monkeypatch.setattr(groupoid.OpennessPlan, "decide", fail_some)
     res = check_openness(mc, depth=depth)
     ref = reference_sweep(mc, depth)
     assert res["status"] == "fail"
@@ -334,3 +358,22 @@ def test_memoized_sweep_lists_every_failing_instance(name, depth, monkeypatch):
     assert (res["verified"], res["gated"]) == (ref["verified"], ref["gated"])
     # one entry per failing instance, not one per failing key
     assert len(res["failures"]) == sum(memo_key(mc, v) in failing for v in instances) > len(failing)
+
+
+@pytest.mark.parametrize("name,depth,count", [("T_eq", 2, 200), ("P/1", 1, 722), ("symE", 1, 1058)])
+def test_sweep_fails_where_arrows_are_missing(name, depth, count):
+    # drop from the preservation set <0->1> every arrow out of the largest
+    # model of its domain image: the certificate opens, which are read off
+    # the formulas, still hold that model, so d loses openness with
+    # headroom to spare, and the sweep must fail exactly where the per
+    # instance loop does
+    mc = build_model_class(THEORIES[name], IndexSet(2))
+    pres = mc.preserving(0, 1)
+    top = max(mc.iso_dom[j] for j in pres)
+    mc._preserving[(0, 1)] = frozenset(j for j in pres if mc.iso_dom[j] != top)
+    res = check_openness(mc, depth=depth)
+    ref = reference_sweep(mc, depth)
+    assert res["status"] == "fail"
+    assert (res["verified"], res["gated"]) == (ref["verified"], ref["gated"])
+    assert res["failures"] == ref["failures"]
+    assert len(res["failures"]) == count
