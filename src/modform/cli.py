@@ -236,7 +236,7 @@ def _command_sheaf(ctx, formula_text):
         "formula": str(f),
         "points": len(sheaf.points),
         "fibers": fibers,
-        "action": sorted([a, p, q] for (a, p), q in sheaf.act.items()),
+        "action": [list(t) for t in sheaf.triples()],
         "basis_names": [name for name, _ in sheaf.space.subbasis],
         "stable_opens": len(sheaf.stable_opens()),
         "invariant_violations": violations,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InterpretationError, InvariantError, SignatureError
 from .logic import Eq, conj, fic, substitute, Var
@@ -35,8 +36,10 @@ class TopGroupoid:
 
     Composition is held as rows, m: G1 x_G0 G1 -> G1 on the fibered
     product: `composites[g]` is the tuple of g∘f for f in into[d(g)], in
-    that order, so g∘f is `composites[g][place[f]]`.  The rows are held as
-    given, not copied; nothing mutates them."""
+    that order, so g∘f is `composites[g][place[f]]`: the regular action,
+    held as every action is (sheaves.EquivariantSheaf), whose laws
+    composition_failures and continuity_failures check.  The rows are held
+    as given, not copied; nothing mutates them."""
 
     def __init__(self, objects: FinSpace, arrows: FinSpace, d, c, e, i, composites):
         self.objects = objects
@@ -46,15 +49,11 @@ class TopGroupoid:
         self.e = tuple(e)
         self.i = tuple(i)
         self.composites = composites
-        # x -> arrows with codomain (domain) x, ascending; built from c (d)
-        # alone so that check_algebra can hold the rows against them
-        self.into = fibers(self.c, range(len(self.c)))
+        # x -> arrows with codomain (domain) x, ascending, and f -> its place
+        # in into[c(f)], its column in each row it composes with; built from
+        # c and d alone so that check_algebra can hold the rows against them
+        self.into, self.place = fibered(self.c)
         self.out_of = fibers(self.d, range(len(self.d)))
-        # f -> its index in into[c(f)], its column in each row it composes with
-        self.place = [0] * len(self.c)
-        for fs in self.into.values():
-            for k, f in enumerate(fs):
-                self.place[f] = k
 
     def composable(self):
         """Pairs (g, f) with d(g) = c(f), ordered by g and then f;
@@ -86,10 +85,8 @@ class TopGroupoid:
         """All groupoid identities, exactly; returns a list of violations.
 
         Every law is checked on every composable pair and triple, walking
-        codomain fibers.  Associativity is decided per composable pair
-        (h, g) on the composite rows: h∘(g∘f) over f in into[d(g)] is
-        h's row read at the places of g's row, which must be the row of
-        h∘g.  Only a pair whose rows differ is walked triple by triple."""
+        codomain fibers.  Associativity is the composition law of the
+        regular action, decided by composition_failures on the rows."""
         bad = []
         n_obj, n_arr = self.objects.size, self.arrows.size
         if len(self.d) != n_arr or len(self.c) != n_arr or len(self.e) != n_obj:
@@ -118,48 +115,23 @@ class TopGroupoid:
                 bad.append(f"inverse law fails at {f}")
             if rows[f][place[i[f]]] != e[c[f]]:
                 bad.append(f"inverse law (other side) fails at {f}")
-        # the pairs (h, g) whose rows differ, found per g, walked in (h, g) order
-        differ = []
-        for g, row_g in enumerate(rows):
-            places, pg = [place[x] for x in row_g], place[g]
-            for h in self.out_of.get(c[g], ()):
-                row_h = rows[h]
-                if rows[row_h[pg]] != tuple(map(row_h.__getitem__, places)):
-                    differ.append((h, g))
-        for h, g in sorted(differ):
-            row_h, row_g = rows[h], rows[g]
-            row_hg = rows[row_h[place[g]]]
-            for k, f in enumerate(into.get(d[g], ())):
-                if row_hg[k] != row_h[place[row_g[k]]]:
-                    bad.append(f"associativity fails at ({h},{g},{f})")
-        return bad
+        triples = composition_failures(self, rows, c, into, place)
+        return bad + [f"associativity fails at ({h},{g},{f})" for h, g, f in triples]
 
     # -- continuity ---------------------------------------------------------
 
     def check_continuity(self):
         """Continuity of d, c, e, i and of composition on the fibered
-        product with its subspace-of-product topology.
-
-        The minimal neighborhood of a composable pair (g, f) is the set of
-        composable pairs in nbhd(g) x nbhd(f); grouping nbhd(f) by codomain
-        visits only those pairs, each read off g2's row at f2's place."""
+        product with its subspace-of-product topology: composition is
+        continuous where the regular action is (continuity_failures)."""
         out = {}
         out["d"] = self.arrows.continuous(self.d, self.objects)
         out["c"] = self.arrows.continuous(self.c, self.objects)
         out["e"] = self.objects.continuous(self.e, self.arrows)
         out["i"] = self.arrows.continuous(self.i, self.arrows)
-        rows, place, d, minimal = self.composites, self.place, self.d, self.arrows.minimal
-        ok = True
-        for f in range(self.arrows.size):
-            near_f = fibers(self.c, minimal[f])
-            for g in self.out_of.get(self.c[f], ()):
-                target = minimal[rows[g][place[f]]]
-                for g2 in minimal[g]:
-                    row = rows[g2]
-                    for f2 in near_f.get(d[g2], ()):
-                        if row[place[f2]] not in target:
-                            ok = False
-        out["m"] = ok
+        out["m"] = not continuity_failures(
+            self, self.composites, self.c, self.place, self.arrows.minimal
+        )
         return out
 
     def is_open(self):
@@ -184,6 +156,83 @@ class TopGroupoid:
                 [name, sorted(pts)] for name, pts in self.arrows.subbasis
             ],
         }
+
+
+def fibered(ends):
+    """(x -> the indices over x, ascending; each index's place in its fiber)."""
+    over = fibers(ends, range(len(ends)))
+    pos = [0] * len(ends)
+    for members in over.values():
+        for k, p in enumerate(members):
+            pos[p] = k
+    return over, pos
+
+
+# ---------------------------------------------------------------------------
+# the laws of an action held as rows
+
+
+def composition_failures(g: TopGroupoid, rows, r, over, pos):
+    """The triples (h, f, p), ascending, at which (h∘f)·p = h·(f·p) fails,
+    for an action of g held as rows: rows[a] is the tuple of a·p for p in
+    over[d(a)], so a·p is rows[a][pos[p]]; r maps points to objects.  g's
+    composites are such an action on its arrows (r = c, over = into, pos =
+    place).  A triple with an undefined term (f·p off the fiber over c(f),
+    or h∘f not starting at d(f)) is skipped.  For well-typed composites an
+    arrow h is walked only if, over the f whose rows stay in the fiber
+    into[d(h)], h's row read along those rows end to end differs from the
+    rows of the h∘f end to end; a fiber with no points has no such f."""
+    d, c, comp, into, out_of = g.d, g.c, g.composites, g.into, g.out_of
+    if g.mistyped:
+        differ = range(len(rows))
+    else:
+        differ = []
+        for x in over:
+            hs = out_of.get(x, ())
+            ends = list(chain.from_iterable(map(rows.__getitem__, into.get(x, ()))))
+            if any(map(x.__ne__, map(r.__getitem__, ends))):
+                differ += hs
+                continue
+            ends = list(map(pos.__getitem__, ends))
+            for h in hs:
+                read_h = list(map(rows[h].__getitem__, ends))
+                if list(chain.from_iterable(map(rows.__getitem__, comp[h]))) != read_h:
+                    differ.append(h)
+        differ.sort()
+    bad = []
+    for h in differ:
+        row_h = rows[h]
+        for f, hf in zip(into.get(d[h], ()), comp[h]):
+            if d[hf] == d[f]:
+                for p, q, y in zip(over.get(d[f], ()), rows[f], rows[hf]):
+                    if r[q] == c[f] and y != row_h[pos[q]]:
+                        bad.append((h, f, p))
+    return bad
+
+
+def continuity_failures(g: TopGroupoid, rows, r, pos, minimal):
+    """The pairs (a, p), ascending, at which an action of g held as rows
+    (see composition_failures) is not continuous: (a, p) once for each
+    (a2, p2) in nbhd(a) x nbhd(p), with p2 over d(a2), whose a2·p2 leaves
+    nbhd(a·p).  minimal[p] is the minimal neighbourhood of point p."""
+    d, out_of, near_arrows = g.d, g.out_of, g.arrows.minimal
+    bad = []
+    for p, near in enumerate(minimal):
+        cols = {}  # object -> the places of the points of nbhd(p) over it
+        for p2 in near:
+            cols.setdefault(r[p2], []).append(pos[p2])
+        k = pos[p]
+        for a in out_of.get(r[p], ()):
+            target = minimal[rows[a][k]]
+            for a2 in near_arrows[a]:
+                ks = cols.get(d[a2])
+                if ks:
+                    row = rows[a2]
+                    for j in ks:
+                        if row[j] not in target:
+                            bad.append((a, p))
+    bad.sort()
+    return bad
 
 
 @dataclass

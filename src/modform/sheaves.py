@@ -13,7 +13,13 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InvariantError, SignatureError, SiteError
-from .groupoid import TopGroupoid, build_model_groupoid
+from .groupoid import (
+    TopGroupoid,
+    build_model_groupoid,
+    composition_failures,
+    continuity_failures,
+    fibered,
+)
 from .logic import Eq, Exists, Var, conj, fic, substitute
 from .models import ModelClass, fibers, star_headroom
 from .topology import (
@@ -35,16 +41,21 @@ class EquivariantSheaf:
     """An etale space over the objects of a groupoid with an arrow action.
 
     points are arbitrary payloads; space is their topology; r maps point
-    index to object index; act maps (arrow index, point index) to a point
-    index, defined exactly when the point sits over the arrow's domain.
+    index to object index, over[x] lists the points over x, ascending, and
+    pos[p] is p's place in its fiber.  The action is held as rows, in the
+    layout of the base's composition: rows[a] is the tuple of a·p for p in
+    over[d(a)], so a·p is rows[a][pos[p]] (`apply`).  The base's composites
+    are this table for its own arrows acted on by composition, with over =
+    into and pos = place.  The rows are held as given, not copied.
     """
 
-    def __init__(self, base: TopGroupoid, points, space: FinSpace, r, act, mc=None):
+    def __init__(self, base: TopGroupoid, points, space: FinSpace, r, rows, mc=None):
         self.base = base
         self.points = list(points)
         self.space = space
         self.r = tuple(r)
-        self.act = dict(act)
+        self.rows = rows
+        self.over, self.pos = fibered(self.r)
         self.point_index = {p: i for i, p in enumerate(self.points)}
         self.mc = mc
 
@@ -54,97 +65,54 @@ class EquivariantSheaf:
     def apply(self, arrow, pidx):
         if self.r[pidx] != self.base.d[arrow]:
             raise SignatureError("point does not sit over the arrow's domain")
-        return self.act[(arrow, pidx)]
+        return self.rows[arrow][self.pos[pidx]]
+
+    def triples(self):
+        """(a, p, a·p) for every arrow a and point p over d(a), ascending."""
+        d, over = self.base.d, self.over
+        return itertools.chain.from_iterable(
+            zip(itertools.repeat(a), over.get(d[a], ()), row)
+            for a, row in enumerate(self.rows)
+            if row
+        )
 
     # -- invariants ----------------------------------------------------------
 
     def check_invariants(self):
         """Every failed sheaf law, as messages in a fixed order.
 
-        The action's domain, composition and continuity laws walk only the
-        points over the arrow's domain (among all points, or within a
-        minimal neighbourhood), and the composition law only the composable
-        pairs (g, f) with points over d(f), in the order a scan of every
-        pair and point would meet them, so the messages are the scan's."""
+        A row not as long as the fiber over its arrow's domain is reported
+        alone.  An entry outside its codomain fiber is reported, and the
+        laws that would read an undefined term through it are skipped.
+        Messages come in the order of a scan of every arrow, pair and point."""
         bad = []
-        g = self.base
-        act = self.act
-        if not self.space.continuous(self.r, g.objects):
+        g, r, rows, over, pos = self.base, self.r, self.rows, self.over, self.pos
+        if not self.space.continuous(r, g.objects):
             bad.append("projection not continuous")
         for p in range(len(self.points)):
             u = self.space.minimal_nbhd(p)
-            img = [self.r[q] for q in u]
+            img = [r[q] for q in u]
             if len(set(img)) != len(img):
                 bad.append(f"projection not injective near point {p}")
             if not g.objects.is_open(frozenset(img)):
                 bad.append(f"projection image of a minimal neighborhood not open at {p}")
-        over = fibers(self.r, range(len(self.points)))
-        want = {(a, p) for a in range(g.arrows.size) for p in over.get(g.d[a], ())}
-        if set(act) != want:
+        if len(rows) != g.arrows.size or any(
+            len(row) != len(over.get(x, ())) for x, row in zip(g.d, rows)
+        ):
             bad.append("action domain is not the fibered product")
             return bad
-        stays = True
-        for (a, p), q in act.items():
-            if self.r[q] != g.c[a]:
-                bad.append(f"action of {a} leaves the codomain fiber at {p}")
-                stays = False
-        for p in range(len(self.points)):
-            if act[(g.e[self.r[p]], p)] != p:
+        for a, row in enumerate(rows):
+            for p, q in zip(over.get(g.d[a], ()), row):
+                if r[q] != g.c[a]:
+                    bad.append(f"action of {a} leaves the codomain fiber at {p}")
+        for p, x in enumerate(r):
+            u = g.e[x]
+            if g.d[u] == x and rows[u][pos[p]] != p:
                 bad.append(f"unit axiom fails at point {p}")
-        bad += self._composition_failures(over, stays)
-        minimal, d = self.space.minimal, g.d
-        near = [fibers(self.r, minimal[p]) for p in range(len(self.points))]
-        for (a, p), q in act.items():
-            target, near_p = minimal[q], near[p]
-            for a2 in g.arrows.minimal[a]:
-                for p2 in near_p.get(d[a2], ()):
-                    if act[(a2, p2)] not in target:
-                        bad.append(f"action not continuous at ({a},{p})")
-        return bad
-
-    def _composition_failures(self, over, stays):
-        """The composition law at every composable pair (g, f) and point p
-        over d(f), as messages in (g, f, p) order.
-
-        When every arrow maps its domain fiber into its codomain fiber
-        (`stays`) and the base's composites are well typed, an arrow's
-        action is its row: the positions, in the fiber over its codomain, of
-        the images of the points over its domain.  The law then holds at g
-        and every f composable with it exactly when the rows of the g∘f, end
-        to end, are those of the f, end to end, with each position read
-        through the row of g.  Only an arrow g where they differ is walked
-        pair by pair and point by point."""
-        g, act = self.base, self.act
-        d, into, place, composites = g.d, g.into, g.place, g.composites
-        bad = []
-
-        def walk(gq):
-            row = composites[gq]
-            for f in into.get(d[gq], ()):
-                gf = row[place[f]]
-                for p in over.get(d[f], ()):
-                    if act[(gf, p)] != act[(gq, act[(f, p)])]:
-                        bad.append(f"composition axiom fails at ({gq},{f},{p})")
-
-        if not stays or g.mistyped:
-            for gq in range(g.arrows.size):
-                walk(gq)
-            return bad
-        pos = [0] * len(self.points)
-        for ps in over.values():
-            for i, p in enumerate(ps):
-                pos[p] = i
-        rows = [()] * g.arrows.size
-        for x, ps in over.items():
-            for a in g.out_of.get(x, ()):
-                rows[a] = tuple([pos[act[(a, p)]] for p in ps])
-        ends = {x: [i for f in into[x] for i in rows[f]] for x in over}
-        for gq, gfs in enumerate(composites):
-            row = rows[gq]
-            if not row:
-                continue
-            if [i for gf in gfs for i in rows[gf]] != list(map(row.__getitem__, ends[d[gq]])):
-                walk(gq)
+        for h, f, p in composition_failures(g, rows, r, over, pos):
+            bad.append(f"composition axiom fails at ({h},{f},{p})")
+        for a, p in continuity_failures(g, rows, r, pos, self.space.minimal):
+            bad.append(f"action not continuous at ({a},{p})")
         return bad
 
     # -- stability -----------------------------------------------------------
@@ -154,11 +122,12 @@ class EquivariantSheaf:
         point is moved by the arrows of its domain fiber."""
         out = set(subset)
         frontier = list(out)
-        out_of = self.base.out_of
+        rows, pos, out_of = self.rows, self.pos, self.base.out_of
         while frontier:
             p = frontier.pop()
+            k = pos[p]
             for a in out_of.get(self.r[p], ()):
-                q = self.act[(a, p)]
+                q = rows[a][k]
                 if q not in out:
                     out.add(q)
                     frontier.append(q)
@@ -168,9 +137,11 @@ class EquivariantSheaf:
         """The least stable open set around each point, as a set of
         bitmasks: what a point reaches through minimal neighbourhoods and
         the action."""
-        push = list(self.space.masks)
-        for (_, p), q in self.act.items():
-            push[p] |= 1 << q
+        push, rows, out_of = list(self.space.masks), self.rows, self.base.out_of
+        for x, ps in self.over.items():
+            for a in out_of.get(x, ()):
+                for p, q in zip(ps, rows[a]):
+                    push[p] |= 1 << q
         return {reach(push, p) for p in range(len(self.points))}
 
     def stable_opens(self, limit=DEFAULT_LATTICE_LIMIT):
@@ -187,13 +158,18 @@ class SheafMorphism:
     point_map: tuple
 
     def check(self):
-        bad = []
-        for p in range(len(self.src.points)):
-            if self.dst.r[self.point_map[p]] != self.src.r[p]:
-                bad.append(f"not fiber-preserving at {p}")
-        for (a, p), q in self.src.act.items():
-            if self.dst.act[(a, self.point_map[p])] != self.point_map[q]:
-                bad.append(f"not equivariant at ({a},{p})")
+        """Every failed morphism law, as messages; equivariance is read only
+        at the points mapped into their own fiber."""
+        src, dst, pm = self.src, self.dst, self.point_map
+        kept = [dst.r[pm[p]] == x for p, x in enumerate(src.r)]
+        bad = [f"not fiber-preserving at {p}" for p, ok in enumerate(kept) if not ok]
+        pos, over, d = dst.pos, src.over, src.base.d
+        for a, row in enumerate(src.rows):
+            if row:
+                dst_row = dst.rows[a]
+                for p, q in zip(over[d[a]], row):
+                    if kept[p] and dst_row[pos[pm[p]]] != pm[q]:
+                        bad.append(f"not equivariant at ({a},{p})")
         if not self.src.space.continuous(self.point_map, self.dst.space):
             bad.append("not continuous")
         return bad
@@ -224,9 +200,8 @@ class TupleSheaf(EquivariantSheaf):
     topology."""
 
     def __init__(self, base, carriers, points, mc=None):
-        super().__init__(base, points, None, (x for x, _ in points), {}, mc=mc)
+        super().__init__(base, points, None, (x for x, _ in points), (), mc=mc)
         self.carriers = carriers
-        self.by_object = fibers(self.r, range(len(self.points)))
 
     def section_image(self, params):
         """The image of the section at an index tuple: over each object
@@ -244,7 +219,7 @@ class TupleSheaf(EquivariantSheaf):
         whose entries at those coordinates do; F is called once per object."""
         points = self.points
         out = []
-        for x, ns in self.by_object.items():
+        for x, ns in self.over.items():
             want = F(x)
             if coords is None:
                 out += [n for n in ns if points[n][1] in want]
@@ -275,11 +250,11 @@ def tuple_sheaf(base, carriers, isos, k, tuples, S, mc=None, cls=TupleSheaf, **f
     sheaf = cls(base, carriers, points, mc, **fields)
     # the action and the topology read the sheaf's own point index, fibers
     # and section images, so they are filled in once it exists
-    over = sheaf.by_object
-    for a in range(base.arrows.size):
-        iso, c = isos[a], base.c[a]
-        for n in over.get(base.d[a], ()):
-            sheaf.act[(a, n)] = sheaf.point_index[(c, iso.apply_tuple(points[n][1]))]
+    over, index = sheaf.over, sheaf.point_index
+    sheaf.rows = [
+        tuple([index[(c, isos[a].apply_tuple(points[n][1]))] for n in over.get(x, ())])
+        for a, (x, c) in enumerate(zip(base.d, base.c))
+    ]
     sub = [
         (f"p1{name}", frozenset(n for x in sorted(pts) for n in over.get(x, ())))
         for name, pts in base.objects.subbasis
@@ -526,14 +501,13 @@ def moerdijk_sheaf(mc: ModelClass, N) -> MoerdijkSiteObject:
     minimal = [frozenset(bits(reach(push, ci))) for ci in range(len(classes))]
     space = FinSpace(len(classes), [(f"q{ci}", m) for ci, m in enumerate(minimal)])
     r = tuple(g.c[f] for f in reps)
-    # an arrow acts on the classes over its domain through their least arrows
+    # an arrow acts on the classes over its domain through their least
+    # arrows, read at their places in its row of composites
     over = fibers(r, range(len(classes)))
-    act, place = {}, g.place
-    for a, row in enumerate(g.composites):
-        for ci in over.get(g.d[a], ()):
-            act[(a, ci)] = class_of[row[place[reps[ci]]]]
+    cols = {x: [g.place[reps[ci]] for ci in cis] for x, cis in over.items()}
+    rows = [tuple([class_of[row[k]] for k in cols.get(x, ())]) for x, row in zip(g.d, g.composites)]
     points = [("class", ci) for ci in range(len(classes))]
-    sheaf = EquivariantSheaf(g, points, space, r, act, mc=mc)
+    sheaf = EquivariantSheaf(g, points, space, r, rows, mc=mc)
     bad = sheaf.check_invariants()
     action_bad = [v for v in bad if "action" in v or "fiber" in v or "axiom" in v]
     if action_bad:
@@ -605,12 +579,12 @@ def lift_section(sheaf: EquivariantSheaf, U, section):
     N_s = frozenset(
         f
         for f in range(g.arrows.size)
-        if g.d[f] in U and g.c[f] in U and sheaf.act[(f, section[g.d[f]])] == section[g.c[f]]
+        if g.d[f] in U and g.c[f] in U and sheaf.apply(f, section[g.d[f]]) == section[g.c[f]]
     )
     site = moerdijk_sheaf(sheaf_mc(sheaf), N_s)
     point_map = []
     for cl in site.classes:
-        images = {sheaf.act[(f, section[g.d[f]])] for f in cl}
+        images = {sheaf.apply(f, section[g.d[f]]) for f in cl}
         if len(images) != 1:
             raise SiteError("lift not well-defined on a class")
         point_map.append(images.pop())
@@ -685,14 +659,12 @@ def rewrite_symmetric(mc: ModelClass, v: BasicOpenI, model_idx):
 def lift_shortfall(mc: ModelClass, hat: SheafMorphism, params):
     """Diagnose a section lift at params that is not onto its sheaf: the
     sorted points it misses, and whether index headroom explains them all,
-    that is, no missing point (at one representative of each of its
-    blocks) has star headroom towards params."""
+    that is, no missing point (at the keys of its blocks, each the least
+    element of its block) has star headroom towards params."""
     missing = sorted(set(range(len(hat.dst.points))) - set(hat.point_map))
     for p in missing:
         x, t = hat.dst.points[p]
-        M = mc.models[x]
-        reps = tuple(next(e for e in M.domain if M.block_key(e) == key) for key in t)
-        if star_headroom(M, reps, params, mc.S):
+        if star_headroom(mc.models[x], t, params, mc.S):
             return missing, False
     return missing, True
 

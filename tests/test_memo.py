@@ -200,7 +200,7 @@ def test_definable_sheaf_matches_reference(name, n):
         assert sheaf.r == r
         assert sheaf.space.subbasis == space.subbasis
         assert sheaf.space.minimal == space.minimal
-        assert sheaf.act == act
+        assert list(sheaf.triples()) == [(a, p, q) for (a, p), q in act.items()]
         assert sheaf.base is build_model_groupoid(mc)
         assert definable_sheaf(mc, f) is sheaf
 
