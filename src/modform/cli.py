@@ -403,6 +403,11 @@ def main(argv=None):
     if len(args) != 1:
         print("expected exactly one theory file", file=sys.stderr)
         return EXIT_IO
+    # the coherent suite reads the powers up to --kmax of the index set
+    coherent = ns.command == "report" or (ns.command == "check" and extra in ("all", "coherent"))
+    if coherent and cfg["kmax"] > cfg["index_size"]:
+        print("--kmax must be at most --index-size for the coherent suite", file=sys.stderr)
+        return EXIT_IO
     path = args[0]
     try:
         with open(path, "r", encoding="utf-8") as fh:

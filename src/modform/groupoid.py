@@ -290,11 +290,9 @@ def build_model_groupoid(mc: ModelClass) -> TopGroupoid:
     """The topological groupoid of models and isomorphisms of a class."""
     if mc._groupoid is not None:
         return mc._groupoid
-    objects = model_space(mc)
-    arrows = arrow_space(mc, objects)
     g = TopGroupoid(
-        objects,
-        arrows,
+        model_space(mc),
+        arrow_space(mc),
         mc.iso_dom,
         mc.iso_cod,
         mc.identity_of,
@@ -314,12 +312,9 @@ def structure_map_preimages(mc: ModelClass, a, b):
     i^-1<a->b> = <b->a>,  e^-1<a->b> = <[x,y|x=y],a,b>,  and
     m^-1<a->b> = union over c of <c->b> x <a->c> on composable pairs."""
     g = build_model_groupoid(mc)
-    pres = lambda p, q: basic_open_arrows(
-        mc, BasicOpenI(trivial_open_m(), ((p, q),), trivial_open_m())
-    )
-    target = pres(a, b)
+    target = mc.preserving(a, b)
     i_pre = frozenset(j for j in range(g.arrows.size) if g.i[j] in target)
-    i_expect = pres(b, a)
+    i_expect = mc.preserving(b, a)
     e_pre = frozenset(x for x in range(g.objects.size) if g.e[x] in target)
     e_expect = basic_open_points(
         mc, BasicOpenM(fic(["x", "y"], Eq(Var("x"), Var("y"))), (a, b))
@@ -327,8 +322,8 @@ def structure_map_preimages(mc: ModelClass, a, b):
     m_pre = frozenset((gj, fj) for gj, fj in g.composable() if g.compose(gj, fj) in target)
     m_expect = set()
     for c in mc.S.elements():
-        right = fibers(g.c, pres(a, c))
-        for gj in pres(c, b):
+        right = fibers(g.c, mc.preserving(a, c))
+        for gj in mc.preserving(c, b):
             m_expect.update((gj, fj) for fj in right.get(g.d[gj], ()))
     return {
         "i": {"computed": i_pre, "expected": i_expect, "ok": i_pre == i_expect},

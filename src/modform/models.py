@@ -430,6 +430,8 @@ class ModelClass:
       meets.
     - ``_atomic``: the atomic subbasis tuple, or None until built
       (``topology.atomic_subbasis``).
+    - ``_model_space``: the model space, or None until built
+      (``topology.model_space``); its open lattice is listed once.
     - ``_sheaves``: formula -> its definable sheaf
       (``sheaves.definable_sheaf``); sheaves are never mutated once built.
     - ``_groupoid``: the topological groupoid, or None until built
@@ -473,6 +475,7 @@ class ModelClass:
         self._equal = {}
         self._points = {}
         self._atomic = None
+        self._model_space = None
         self._sheaves = {}
         self._groupoid = None
         self._lifts = {}

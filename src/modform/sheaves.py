@@ -240,9 +240,9 @@ class TupleSheaf(EquivariantSheaf):
 def tuple_sheaf(base, carriers, isos, k, tuples, S, mc=None, cls=TupleSheaf, **fields):
     """The sheaf of k-tuples tuples(x) over each object x of base.
 
-    Topology: coarsest with continuous projection and open section images;
-    the subbasis is the projection preimages (p1...) of base's object
-    subbasis together with one section image s[...] per k-tuple of S.  Arrow
+    Topology: coarsest with continuous projection and open section images,
+    one section image s[...] per k-tuple of S; its subbasis lists the
+    projection preimages (p1...) of base's object subbasis first.  Arrow
     a acts by isos[a].apply_tuple.  cls (TupleSheaf or a subclass taking the
     keyword fields) is the class built.
     """
@@ -255,13 +255,11 @@ def tuple_sheaf(base, carriers, isos, k, tuples, S, mc=None, cls=TupleSheaf, **f
         tuple([index[(c, isos[a].apply_tuple(points[n][1]))] for n in over.get(x, ())])
         for a, (x, c) in enumerate(zip(base.d, base.c))
     ]
-    sub = [
-        (f"p1{name}", frozenset(n for x in sorted(pts) for n in over.get(x, ())))
-        for name, pts in base.objects.subbasis
+    sections = [
+        (f"s[{','.join(map(str, params)) or '*'}]", sheaf.section_image(params))
+        for params in itertools.product(S.elements(), repeat=k)
     ]
-    for params in itertools.product(S.elements(), repeat=k):
-        sub.append((f"s[{','.join(map(str, params)) or '*'}]", sheaf.section_image(params)))
-    sheaf.space = FinSpace(len(points), sub)
+    sheaf.space = FinSpace(len(points), sections, [(base.objects, [("p1", sheaf.r)])])
     return sheaf
 
 
@@ -650,9 +648,9 @@ def rewrite_symmetric(mc: ModelClass, v: BasicOpenI, model_idx):
     result = BasicOpenI(cond, tuple((p, p) for p in m), cond)
     got = basic_open_arrows(mc, result)
     if ident not in got:
-        raise SignatureError("rewriting lost the identity arrow")
+        raise InvariantError("rewriting lost the identity arrow")
     if not got <= varr:
-        raise SignatureError("rewriting left the original neighborhood")
+        raise InvariantError("rewriting left the original neighborhood")
     return result
 
 

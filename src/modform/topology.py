@@ -12,7 +12,6 @@ enumerates opens.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -86,15 +85,42 @@ def closure_lattice(gens, limit, join=None):
 
 
 class FinSpace:
-    """Points 0..n-1 with a named subbasis of point sets."""
+    """Points 0..n-1 with the coarsest topology that keeps each of its named
+    generators open and makes each map continuous.
 
-    def __init__(self, size, subbasis):
+    `maps` lists (base space, [(prefix, ends), ...]) pairs, `ends` mapping
+    the points into the base.  The subbasis lists, for each base, each base
+    set and each map into that base, the preimage named prefix + the set's
+    name, and then the generators.  Preimages commute with meets, so a
+    point's minimal neighbourhood is the meet of the preimages of its
+    images' minimal neighbourhoods and of its generators.
+    """
+
+    def __init__(self, size, generators=(), maps=()):
         self.size = size
-        self.subbasis = [(name, frozenset(s)) for name, s in subbasis]
+        generators = [(name, frozenset(s)) for name, s in generators]
         points = tuple(range(size))
         full = frozenset(points)
         nbhd = [(1 << size) - 1] * size
-        for name, s in self.subbasis:
+        self.subbasis = []
+        for base, ends_list in maps:
+            self.subbasis += [
+                (prefix + name, frozenset(x for x, y in enumerate(ends) if y in s))
+                for name, s in base.subbasis
+                for prefix, ends in ends_list
+            ]
+            for _, ends in ends_list:
+                fiber = [0] * base.size
+                for x, y in enumerate(ends):
+                    fiber[y] |= 1 << x
+                pre = [0] * base.size  # y -> the preimage of y's minimal neighbourhood
+                for y, m in enumerate(base.masks):
+                    for z in bits(m):
+                        pre[y] |= fiber[z]
+                for x, y in enumerate(ends):
+                    nbhd[x] &= pre[y]
+        self.subbasis += generators
+        for name, s in generators:
             if not s <= full:
                 raise SignatureError(f"subbasic set {name} not within the point set")
             m = mask(s)
@@ -106,16 +132,12 @@ class FinSpace:
             if m not in shared:
                 shared[m] = frozenset(map(points.__getitem__, bits(m)))
         self.minimal = [shared[m] for m in nbhd]
+        self.masks = nbhd  # the minimal neighbourhoods as bitmasks
         self._opens = None
 
     @property
     def points(self):
         return range(self.size)
-
-    @functools.cached_property
-    def masks(self):
-        """The minimal neighborhoods as bitmasks."""
-        return [mask(m) for m in self.minimal]
 
     def minimal_nbhd(self, x):
         return self.minimal[x]
@@ -281,27 +303,25 @@ def atomic_subbasis(mc: ModelClass):
 
 
 def model_space(mc: ModelClass):
-    """The model set with the logical topology (subbasis of atomic opens)."""
-    return FinSpace(len(mc.models), [(name, pts) for name, pts, _ in atomic_subbasis(mc)])
+    """The model set with the logical topology (subbasis of atomic opens),
+    built on first use and kept by the class."""
+    if mc._model_space is None:
+        mc._model_space = FinSpace(
+            len(mc.models), [(name, pts) for name, pts, _ in atomic_subbasis(mc)]
+        )
+    return mc._model_space
 
 
-def arrow_space(mc: ModelClass, space=None):
-    """The isomorphism set with the logical topology.
-
-    Subbasis: domain and codomain preimages of the model subbasis plus the
-    preservation sets <a->b>.
-    """
-    if space is None:
-        space = model_space(mc)
-    sub = []
-    for name, pts, _ in atomic_subbasis(mc):
-        sub.append((f"d{name}", frozenset(j for j in range(len(mc.isos)) if mc.iso_dom[j] in pts)))
-        sub.append((f"c{name}", frozenset(j for j in range(len(mc.isos)) if mc.iso_cod[j] in pts)))
-    for a in mc.S.elements():
-        for b in mc.S.elements():
-            v = BasicOpenI(trivial_open_m(), ((a, b),), trivial_open_m())
-            sub.append((f"<{a}->{b}>", basic_open_arrows(mc, v)))
-    return FinSpace(len(mc.isos), sub)
+def arrow_space(mc: ModelClass):
+    """The isomorphism set with the logical topology: the coarsest that
+    makes the domain and codomain maps into the model space continuous and
+    keeps each preservation set <a->b> open."""
+    S = mc.S.elements()
+    return FinSpace(
+        len(mc.isos),
+        [(f"<{a}->{b}>", mc.preserving(a, b)) for a in S for b in S],
+        [(model_space(mc), [("d", mc.iso_dom), ("c", mc.iso_cod)])],
+    )
 
 
 def horn_diagram(M, subset=None):

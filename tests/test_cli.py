@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from modform import checks, cli, duality
+from modform import checks, cli, duality, models, sheaves, topology
 from modform.cli import (
     EXIT_FAIL,
     EXIT_GATED,
@@ -316,6 +316,34 @@ def test_arity_above_the_power_levels_is_a_limit(text, argv, tmp_path, capsys):
     assert main(argv + ["--index-size", "1", "--kmax", "1", str(thy)]) == EXIT_LIMIT
     err = capsys.readouterr().err
     assert "limit exceeded" in err and "--kmax 1" in err
+
+
+@pytest.mark.parametrize("argv", [["check", "coherent"], ["check", "all"], ["report"]])
+def test_kmax_above_the_index_size_is_a_usage_error_for_coherent(argv, tmp_path, capsys):
+    thy = tmp_path / "t.thy"
+    thy.write_text("")
+    assert main(argv + ["--index-size", "1", "--kmax", "2", str(thy)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "--kmax" in err and "--index-size" in err
+
+
+def test_topology_lists_the_model_space_lattice_once(tmp_path, monkeypatch):
+    # the basis property lists the atomic, Horn and geometric lattices; the
+    # command reads the atomic one from the class's one model space
+    monkeypatch.setattr(models, "_class_cache", {})
+    calls = []
+    real = topology.closure_lattice
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for owner in (topology, checks, sheaves, duality):
+        monkeypatch.setattr(owner, "closure_lattice", counted)
+    thy = tmp_path / "P1.thy"
+    thy.write_text("rel P/1\n")
+    main(["topology", "--index-size", "2", str(thy)])
+    assert len(calls) == 3
 
 
 def test_arity_within_the_power_levels_passes(tmp_path):

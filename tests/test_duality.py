@@ -42,7 +42,7 @@ from modform.models import IndexSet, IndexedStructure, model_class
 from modform.parser import parse_theory
 from modform.search import FormulaSearch
 from modform.sheaves import definable_sheaf
-from modform.topology import FinSpace, bits
+from modform.topology import FinSpace
 
 SYM_E = "rel E/2\naxiom E(x,y) |- [x,y] E(y,x)"
 S2 = IndexSet(2)
@@ -101,6 +101,18 @@ def test_mod_functor_equality_is_identity_shaped():
     assert gos.f0 == tuple(range(5))
     assert gos.f1 == tuple(range(12))
     assert gos.check() == []
+
+
+def test_failed_forgetful_preimage_identities_are_an_invariant_error(monkeypatch):
+    real = duality.mod_on_interpretation
+
+    def broken(*args):
+        morphism, report = real(*args)
+        return morphism, [dict(report[0], ok=False)] + report[1:]
+
+    monkeypatch.setattr(duality, "mod_on_interpretation", broken)
+    with pytest.raises(InvariantError, match="preimage identities fail"):
+        mod_functor(EQUALITY_THEORY, S2)
 
 
 def test_mod_functor_inconsistent_is_empty():
@@ -354,20 +366,6 @@ def test_coherent_conditions():
     assert [e["frame_size"] for e in res["i"]] == [3, 2]
     assert all(e["all_compact"] for e in res["i"])
     assert all(e["match"] and e["in_frame"] for e in res["ii"])
-
-
-def test_coherent_frame_element_not_a_join_of_generators(monkeypatch):
-    # a stray point set in the frame is no union of its generators
-    real = duality.closure_lattice
-
-    def with_stray(gens, limit):
-        x = next(p for m in gens for p in bits(m) if 1 << p not in gens)
-        return real(gens, limit) + [frozenset({x})]
-
-    monkeypatch.setattr(duality, "closure_lattice", with_stray)
-    res = coherent_check(mod_functor(EQUALITY_THEORY, S2), 1)
-    assert [e["all_compact"] for e in res["i"]] == [False, False]
-    assert not res["ok"]
 
 
 def test_coherent_conditions_symmetric():

@@ -13,9 +13,10 @@ import random
 
 import pytest
 
+from modform.duality import mod_functor, pullback_sheaf, u_power
 from modform.errors import InterpretationError, InvariantError
 from modform.groupoid import build_model_groupoid, mod_on_interpretation
-from modform.logic import EQUALITY_THEORY, Interpretation, Rel, Var, fic
+from modform.logic import EQUALITY_THEORY, TOP, Eq, Interpretation, Rel, Var, fic
 from modform.models import (
     IndexSet,
     IndexedStructure,
@@ -27,6 +28,7 @@ from modform.models import (
     model_class,
 )
 from modform.parser import parse_theory
+from modform.sheaves import definable_sheaf
 from modform.topology import FinSpace, arrow_space, model_space
 
 THEORIES = {
@@ -127,10 +129,24 @@ def test_canonical_forms_separate_classes(name, n):
 
 @pytest.mark.parametrize("name,n", CASES)
 def test_minimal_nbhds_match_intersection_on_model_spaces(name, n):
+    """The model space, and the spaces built as initial topologies of their
+    structure maps: the arrow space, the powers of the generic object, a
+    definable sheaf and check_pullback_square's pulled-back sheaf."""
     mc = _class(name, n)
-    objects = model_space(mc)
-    for space in (objects, arrow_space(mc, objects)):
+    gos = mod_functor(THEORIES[name], IndexSet(n))
+    generic = definable_sheaf(gos.s_mc, fic(["x0"], TOP))
+    spaces = [model_space(mc), arrow_space(mc)]
+    spaces += [u_power(gos, k).space for k in (0, 1, 2)]
+    spaces.append(definable_sheaf(mc, fic(["x0", "x1"], Eq(Var("x0"), Var("x1")))).space)
+    spaces.append(pullback_sheaf(gos.morphism(), generic).space)
+    for space in spaces:
         assert space.minimal == reference_minimal(space.size, space.subbasis)
+
+
+@pytest.mark.parametrize("name,n", [("T_eq", 2), ("symE", 2)])
+def test_the_model_space_is_built_once_per_class(name, n):
+    mc = _class(name, n)
+    assert model_space(mc) is build_model_groupoid(mc).objects
 
 
 def test_minimal_nbhds_match_intersection_on_random_subbases():

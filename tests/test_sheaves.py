@@ -2,7 +2,8 @@
 
 import pytest
 
-from modform.errors import SignatureError, SiteError
+from modform import sheaves
+from modform.errors import InvariantError, SignatureError, SiteError
 from modform.groupoid import build_model_groupoid
 from modform.logic import BOT, EQUALITY_THEORY, Eq, Exists, Rel, TOP, Var, fic
 from modform.models import IndexSet, IndexedStructure, model_class
@@ -282,6 +283,37 @@ def test_rewrite_symmetric_requires_identity_inside():
     v = BasicOpenI(trivial_open_m(), ((0, 1),), trivial_open_m())
     m01 = midx(mc, [0, 1], [(0,), (1,)])  # identity does not send [0] to [1]
     with pytest.raises(SignatureError):
+        rewrite_symmetric(mc, v, m01)
+
+
+def _rewrite_with_result(monkeypatch, result):
+    """A basic open around an identity of mc_eq2, as (mc, v, model), with
+    the arrow set rewrite_symmetric computes for its rewritten open
+    replaced by result(mc, the arrow set of v)."""
+    mc = mc_eq2()
+    v = BasicOpenI(trivial_open_m(), ((0, 0),), trivial_open_m())
+    real, sets = sheaves.basic_open_arrows, []
+
+    def arrows(mc, w):
+        sets.append(real(mc, w))
+        return sets[0] if len(sets) == 1 else result(mc, sets[0])
+
+    monkeypatch.setattr(sheaves, "basic_open_arrows", arrows)
+    return mc, v, midx(mc, [0, 1], [(0,), (1,)])
+
+
+def test_rewrite_symmetric_losing_the_identity_is_an_invariant_error(monkeypatch):
+    mc, v, m01 = _rewrite_with_result(monkeypatch, lambda mc, varr: frozenset())
+    with pytest.raises(InvariantError, match="lost the identity"):
+        rewrite_symmetric(mc, v, m01)
+
+
+def test_rewrite_symmetric_leaving_the_neighborhood_is_an_invariant_error(monkeypatch):
+    def wider(mc, varr):
+        return varr | {next(j for j in range(len(mc.isos)) if j not in varr)}
+
+    mc, v, m01 = _rewrite_with_result(monkeypatch, wider)
+    with pytest.raises(InvariantError, match="left the original neighborhood"):
         rewrite_symmetric(mc, v, m01)
 
 
