@@ -12,6 +12,7 @@ enumerates opens.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -89,26 +90,54 @@ class FinSpace:
     generators open and makes each map continuous.
 
     `maps` lists (base space, [(prefix, ends), ...]) pairs, `ends` mapping
-    the points into the base.  The subbasis lists, for each base, each base
-    set and each map into that base, the preimage named prefix + the set's
-    name, and then the generators.  Preimages commute with meets, so a
-    point's minimal neighbourhood is the meet of the preimages of its
-    images' minimal neighbourhoods and of its generators.
+    the points into the base.  The space is held by these factors, the
+    generators and the maps; `held[x]` is the bitmask of the generators
+    that hold x (bit k for the k-th).  Preimages commute with meets, so the
+    minimal neighbourhood of x is
+
+        U_x = (meet over the maps of ends^-1(U_{ends(x)})) ∩ (meet of the
+              generators that hold x),
+
+    and `in_nbhd(y, x)` decides y ∈ U_x from the factors alone: ends(y) ∈
+    U_{ends(x)} in each base, and held[y] ⊇ held[x].  The subbasis (for
+    each base, each base set and each map into that base, the preimage
+    named prefix + the set's name; then the generators), the
+    neighbourhoods as bitmasks (`masks`) and as frozensets (`minimal`) are
+    built on first read, once per space, by that rule.
     """
 
     def __init__(self, size, generators=(), maps=()):
         self.size = size
-        generators = [(name, frozenset(s)) for name, s in generators]
-        points = tuple(range(size))
-        full = frozenset(points)
-        nbhd = [(1 << size) - 1] * size
-        self.subbasis = []
-        for base, ends_list in maps:
-            self.subbasis += [
-                (prefix + name, frozenset(x for x, y in enumerate(ends) if y in s))
-                for name, s in base.subbasis
-                for prefix, ends in ends_list
-            ]
+        self.generators = [(name, frozenset(s)) for name, s in generators]
+        self.maps = list(maps)
+        full = frozenset(range(size))
+        for name, s in self.generators:
+            if not s <= full:
+                raise SignatureError(f"subbasic set {name} not within the point set")
+        self._opens = None
+
+    @functools.cached_property
+    def held(self):
+        held = [0] * self.size
+        for k, (_, s) in enumerate(self.generators):
+            for x in s:
+                held[x] |= 1 << k
+        return held
+
+    @functools.cached_property
+    def subbasis(self):
+        return [
+            (prefix + name, frozenset(x for x, y in enumerate(ends) if y in s))
+            for base, ends_list in self.maps
+            for name, s in base.subbasis
+            for prefix, ends in ends_list
+        ] + self.generators
+
+    @functools.cached_property
+    def masks(self):
+        """The minimal neighbourhoods as bitmasks."""
+        nbhd = [(1 << self.size) - 1] * self.size
+        for base, ends_list in self.maps:
             for _, ends in ends_list:
                 fiber = [0] * base.size
                 for x, y in enumerate(ends):
@@ -119,21 +148,31 @@ class FinSpace:
                         pre[y] |= fiber[z]
                 for x, y in enumerate(ends):
                     nbhd[x] &= pre[y]
-        self.subbasis += generators
-        for name, s in generators:
-            if not s <= full:
-                raise SignatureError(f"subbasic set {name} not within the point set")
+        for _, s in self.generators:
             m = mask(s)
             for x in s:
                 nbhd[x] &= m
-        # one frozenset per distinct neighbourhood, over one int per point
+        return nbhd
+
+    @functools.cached_property
+    def minimal(self):
+        """The minimal neighbourhoods as frozensets, one per distinct mask."""
+        points = tuple(range(self.size))
         shared = {}
-        for m in nbhd:
+        for m in self.masks:
             if m not in shared:
                 shared[m] = frozenset(map(points.__getitem__, bits(m)))
-        self.minimal = [shared[m] for m in nbhd]
-        self.masks = nbhd  # the minimal neighbourhoods as bitmasks
-        self._opens = None
+        return [shared[m] for m in self.masks]
+
+    def in_nbhd(self, y, x):
+        """Whether y lies in the minimal neighbourhood of x, decided from
+        the factors."""
+        held = self.held
+        return not held[x] & ~held[y] and all(
+            base.masks[ends[x]] >> ends[y] & 1
+            for base, ends_list in self.maps
+            for _, ends in ends_list
+        )
 
     @property
     def points(self):
@@ -315,7 +354,12 @@ def model_space(mc: ModelClass):
 def arrow_space(mc: ModelClass):
     """The isomorphism set with the logical topology: the coarsest that
     makes the domain and codomain maps into the model space continuous and
-    keeps each preservation set <a->b> open."""
+    keeps each preservation set <a->b> open.
+
+    The generators are the <a->b> for a, then b, in S, so bit a·n+b of
+    `held[f]` is set when f ∈ <a->b>: g ∈ U_f exactly when d(g) ∈ U_{d f},
+    c(g) ∈ U_{c f} and held[g] ⊇ held[f] (in_nbhd).
+    """
     S = mc.S.elements()
     return FinSpace(
         len(mc.isos),

@@ -80,9 +80,28 @@ def _rows(g):
     return [list(row) for row in g.composites]
 
 
+def _outcome(call):
+    """call(), or the type of the IndexError it raises when the walk reads a
+    row shorter than its fiber."""
+    try:
+        return call()
+    except IndexError as err:
+        return type(err)
+
+
 def _with_rows(g, rows):
-    """A copy of a groupoid with other composite rows."""
-    return TopGroupoid(g.objects, g.arrows, g.d, g.c, g.e, g.i, [tuple(row) for row in rows])
+    """A copy of a groupoid with other composite rows and the same spaces.
+
+    Rows that no longer compose the pair masks, or not the composable
+    pairs, leave the m law to the walk, whose verdicts check_continuity
+    returns."""
+    h = TopGroupoid(g.objects, g.arrows, g.d, g.c, g.e, g.i, [tuple(row) for row in rows])
+    walked, walk = [], h.continuity_walk
+    h.continuity_walk = lambda laws: walked.extend(laws) or walk(laws)
+    got = _outcome(h.check_continuity)
+    del h.continuity_walk
+    assert (got, walked) == (_outcome(lambda: walk("dceim")), ["m"])
+    return h
 
 
 def test_algebra_reports_a_missing_composable_pair():
@@ -150,6 +169,28 @@ def test_algebra_reports_broken_associativity():
         if gr.d[h] == gr.c[g] and gr.d[g] == gr.c[f] and m(m(h, g), f) != m(h, m(g, f))
     ]
     assert want and broken.check_algebra() == want
+
+
+@pytest.mark.parametrize("text,n", [("", 3), (SYM_E, 2)])
+def test_composites_swapped_in_one_row_break_only_the_pair_composite(text, n):
+    # g∘f1 and g∘f2 swapped, for f1 and f2 with one domain: the rows stay
+    # well typed over the composable pairs, e and i keep their identities,
+    # and only pairs[g∘f] = pairs[g] ∘ pairs[f] fails, so the walk decides m
+    theory = parse_theory(text) if text else EQUALITY_THEORY
+    gr = build_model_groupoid(model_class(theory, IndexSet(n)))
+    g, f1, f2 = next(
+        (g, f1, f2)
+        for g in range(gr.arrows.size)
+        for f1 in gr.into.get(gr.d[g], ())
+        for f2 in gr.into.get(gr.d[g], ())
+        if f1 < f2 and gr.d[f1] == gr.d[f2]
+    )
+    rows = _rows(gr)
+    row = rows[g]
+    row[gr.place[f1]], row[gr.place[f2]] = row[gr.place[f2]], row[gr.place[f1]]
+    swapped = _with_rows(gr, rows)
+    assert swapped.mistyped == []
+    assert swapped.check_continuity() == {"d": True, "c": True, "e": True, "i": True, "m": False}
 
 
 def test_algebra_reports_a_moved_pair():

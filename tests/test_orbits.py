@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from modform.checks import check_groupoid_axioms
 from modform.duality import mod_functor, pullback_sheaf, u_power
 from modform.errors import InterpretationError, InvariantError
 from modform.groupoid import build_model_groupoid, mod_on_interpretation
@@ -29,7 +30,7 @@ from modform.models import (
 )
 from modform.parser import parse_theory
 from modform.sheaves import definable_sheaf
-from modform.topology import FinSpace, arrow_space, model_space
+from modform.topology import FinSpace, arrow_space, mask, model_space
 
 THEORIES = {
     "T_eq": EQUALITY_THEORY,
@@ -147,6 +148,50 @@ def test_minimal_nbhds_match_intersection_on_model_spaces(name, n):
 def test_the_model_space_is_built_once_per_class(name, n):
     mc = _class(name, n)
     assert model_space(mc) is build_model_groupoid(mc).objects
+
+
+def reference_arrow_subbasis(mc):
+    """The arrow space's subbasis as listed when it was built eagerly: the
+    d- and c-preimages of each model-space subbasic set, then each <a->b>,
+    found by testing every arrow."""
+    S = mc.S.elements()
+    preimages = [
+        (prefix + name, frozenset(j for j, x in enumerate(ends) if x in s))
+        for name, s in model_space(mc).subbasis
+        for prefix, ends in (("d", mc.iso_dom), ("c", mc.iso_cod))
+    ]
+    return preimages + [
+        (f"<{a}->{b}>", frozenset(
+            j
+            for j, f in enumerate(mc.isos)
+            if f.dom.has(a) and f.cod.has(b) and f.apply(f.dom.block_key(a)) == f.cod.block_key(b)
+        ))
+        for a in S
+        for b in S
+    ]
+
+
+@pytest.mark.parametrize("name,n", CASES + [("T_eq", 4)])
+def test_factored_membership_is_the_minimal_neighbourhood(name, n):
+    # g ∈ U_f from the factors, d(g) ∈ U_{d f}, c(g) ∈ U_{c f} and pairs[g]
+    # ⊇ pairs[f], before any neighbourhood or subbasis is built; then the
+    # ones built on first read, held to the intersection of the subbasis
+    mc = build_model_class(THEORIES[name], IndexSet(n))
+    space = build_model_groupoid(mc).arrows
+    factored = [frozenset(g for g in space.points if space.in_nbhd(g, f)) for f in space.points]
+    assert not {"masks", "minimal", "subbasis"} & vars(space).keys()
+    subbasis = reference_arrow_subbasis(mc)
+    want = reference_minimal(space.size, subbasis)
+    assert space.subbasis == subbasis
+    assert space.masks == [mask(m) for m in want]
+    assert space.minimal == want == factored
+
+
+def test_the_groupoid_laws_build_no_arrow_neighbourhood():
+    mc = build_model_class(THEORIES["symE"], IndexSet(3))
+    assert check_groupoid_axioms(mc)["status"] == "pass"
+    space = build_model_groupoid(mc).arrows
+    assert not {"masks", "minimal", "subbasis"} & vars(space).keys()
 
 
 def test_minimal_nbhds_match_intersection_on_random_subbases():
