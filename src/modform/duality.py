@@ -876,9 +876,15 @@ def closed_hull(g: TopGroupoid, arrows, closed=frozenset()):
 def enumerate_stable_arrow_sets(g: TopGroupoid, limit=10_000):
     """All open arrow sets closed under inverses and composition.
 
-    Every such set is a join of the closed hulls of single arrows, so
-    closure_lattice over those hulls enumerates exactly the valid sets
-    without scanning the full open lattice.
+    Every such set N is the join of the closed hulls H_f of its arrows f,
+    so closure_lattice over the hulls enumerates exactly the valid sets
+    without scanning the full open lattice.  Only the join-irreducible
+    hulls are passed: H_b lies in a hull h iff b is in h, so the hulls
+    strictly below h are the H_b != h with b in h, and h is dropped when
+    the closure of their union gives h back.  By induction on size every
+    hull, and so every N, is a join of the kept ones; closure_lattice sorts
+    its result by (size, sorted members), so the list is the same, element
+    for element, and the limit fires on the same lattices.
 
     The join passed to it closes the union of two closed sets on
     bitmasks, composing only the arrows of one missing from the other and
@@ -901,8 +907,19 @@ def enumerate_stable_arrow_sets(g: TopGroupoid, limit=10_000):
             nxt = joins[union] = joins.setdefault(nxt, nxt)
         return nxt
 
-    gens = {_close(tables, 1 << a, 1 << a) for a in range(g.arrows.size)}
-    return closure_lattice(gens, limit, join)
+    hull_of = [_close(tables, 1 << a, 1 << a) for a in range(g.arrows.size)]
+    gens = []
+    for h in set(hull_of):
+        below = 0
+        for b in bits(h):
+            if hull_of[b] != h:
+                below |= hull_of[b]
+        if _close(tables, below, below) != h:
+            gens.append(h)
+    try:
+        return closure_lattice(gens, limit, join)
+    except LimitExceeded as e:
+        raise LimitExceeded("more closed arrow sets than --nlimit", e.estimate) from None
 
 
 def check_sem_conditions(gos: GroupoidOverS, n_limit=10_000):

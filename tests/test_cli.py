@@ -109,6 +109,17 @@ def test_limit_zero_is_a_zero_budget_everywhere(tmp_path, capsys):
         assert "limit exceeded" in capsys.readouterr().err
 
 
+def test_closed_arrow_set_limit_names_nlimit(tmp_path, capsys):
+    # P/1 at n=2 has 71 closed arrow sets
+    thy = tmp_path / "P1.thy"
+    thy.write_text("rel P/1\n")
+    argv = ["check", "sem", str(thy), "--index-size", "2", "--nlimit", "5"]
+    assert main(argv) == EXIT_LIMIT
+    err = capsys.readouterr().err
+    assert err.startswith("limit exceeded") and "closed arrow sets" in err
+    assert "--nlimit" in err
+
+
 def test_invariant_error_is_reported_as_checker_bug(tmp_path, capsys, monkeypatch):
     thy = tmp_path / "empty.thy"
     thy.write_text("")

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from modform import duality
 from modform.duality import _close, _hull_tables, closed_hull, enumerate_stable_arrow_sets
 from modform.errors import LimitExceeded
 from modform.groupoid import TopGroupoid, build_model_groupoid
@@ -290,6 +291,60 @@ def test_stable_arrow_set_limit_matches_reference(name, n):
     with pytest.raises(LimitExceeded) as ref:
         reference_stable_arrow_sets(g, count - 1)
     assert new.value.estimate == ref.value.estimate == count - 1
+
+
+@pytest.mark.parametrize("name,limit", [("T_eq", 618), ("P/1", 500)])
+def test_stable_arrow_set_limit_matches_reference_at_n3(name, limit):
+    g = build_model_groupoid(_class(name, 3))
+    with pytest.raises(LimitExceeded) as new:
+        enumerate_stable_arrow_sets(g, limit)
+    with pytest.raises(LimitExceeded) as ref:
+        reference_stable_arrow_sets(g, limit)
+    assert new.value.estimate == ref.value.estimate == limit
+    assert "closed arrow sets" in str(new.value) and "--nlimit" in str(new.value)
+
+
+@pytest.mark.parametrize(
+    "name,n,hulls,kept",
+    [("T_eq", 2, 7, 6), ("T_eq", 3, 52, 28), ("P/1", 2, 16, 14), ("symE", 2, 23, 21),
+     ("P/1", 3, 193, 106)],
+)
+def test_generators_are_the_join_irreducible_hulls(name, n, hulls, kept, monkeypatch):
+    # a hull is kept exactly when it is not the closure of the hulls
+    # strictly below it, found here by a pairwise scan of the hulls
+    g = build_model_groupoid(_class(name, n))
+    passed = []
+    real = duality.closure_lattice
+    monkeypatch.setattr(
+        duality, "closure_lattice", lambda gens, *rest: passed.extend(gens) or real(gens, *rest)
+    )
+    with pytest.raises(LimitExceeded):
+        enumerate_stable_arrow_sets(g, 1)
+    every = {reference_worklist_hull(g, {a}) for a in range(g.arrows.size)}
+    irreducible = {
+        h for h in every
+        if reference_worklist_hull(g, frozenset().union(*(k for k in every if k < h))) != h
+    }
+    assert {frozenset(bits(m)) for m in passed} == irreducible
+    assert (len(every), len(passed)) == (hulls, kept)
+
+
+@pytest.mark.parametrize("name,n", CASES)
+def test_stable_arrow_sets_match_reference_with_swapped_composites(name, n):
+    # the pruning needs only that closing is a closure operator, which it is
+    # for any composition table; the first swap that changes the lattice
+    g = build_model_groupoid(_class(name, n))
+    sound = enumerate_stable_arrow_sets(g)
+    rng = random.Random(41)
+    pairs = list(g.composable())
+    got = sound
+    while got == sound:
+        (a, b), (a2, b2) = rng.sample(pairs, 2)
+        x, y = g.compose(a, b), g.compose(a2, b2)
+        if x != y:
+            h = _with_composite(_with_composite(g, a, b, y), a2, b2, x)
+            got = enumerate_stable_arrow_sets(h)
+    assert got == reference_stable_arrow_sets(h)
 
 
 @pytest.mark.parametrize(
