@@ -14,8 +14,8 @@ import itertools
 
 from .duality import enumerate_stable_arrow_sets
 from .errors import InvariantError
-from .groupoid import OpennessPlan, build_model_groupoid, structure_map_preimages
-from .logic import TOP, Sequent, fic
+from .groupoid import OpennessPlan, build_model_groupoid, pair_defects
+from .logic import TOP, Eq, Sequent, Var, fic
 from .models import ModelClass, star_headroom, star_lemma, star_surjection
 from .search import FormulaSearch
 from .sheaves import (
@@ -65,13 +65,52 @@ def check_groupoid_axioms(mc: ModelClass):
 
 
 def check_preimage_identities(mc: ModelClass):
+    """i⁻¹<a->b> = <b->a>, e⁻¹<a->b> = <[x,y|x=y], (a, b)> and m⁻¹<a->b> =
+    ∪_c <c->b> x <a->c> on the composable pairs, for all a, b in S at once,
+    from the masks held[f] with bit a·n+b set when f ∈ mc.preserving(a, b).
+
+    A composable pair (h, f) is on the left of the m identity when held[h∘f]
+    has bit (a, b), and on the right when h ∈ <c->b> and f ∈ <a->c> for some
+    c, that is when held[h] ∘ held[f] has it.  So the sides are equal exactly
+    when no composable pair differs at bit (a, b), bit a·n+b of pair_defects'
+    m_bad, whatever the stored composites, well typed or not: neither side
+    reads their endpoints.  Likewise for i (i_bad), and e reads held[e(x)].
+    structure_map_preimages builds both sides of one (a, b), the reference.
+    Rows that do not cover the composable pairs raise InvariantError."""
+    g = build_model_groupoid(mc)
+    if not g.covers:
+        raise InvariantError(_uncovered_row(g))
+    n, held = mc.S.size, _preservation_masks(mc)
+    i_bad, m_bad = pair_defects(g, held, n)
+    diagonal = fic(["x", "y"], Eq(Var("x"), Var("y")))
     results = []
-    for a in mc.S.elements():
-        for b in mc.S.elements():
-            r = structure_map_preimages(mc, a, b)
-            results.append(((a, b), {k: v["ok"] for k, v in r.items()}))
+    for a, b in itertools.product(mc.S.elements(), repeat=2):
+        k = a * n + b
+        e_expect = basic_open_points(mc, BasicOpenM(diagonal, (a, b)))
+        e_ok = all((held[g.e[x]] >> k & 1) == (x in e_expect) for x in range(g.objects.size))
+        results.append(((a, b), {"i": not i_bad >> k & 1, "e": e_ok, "m": not m_bad >> k & 1}))
     failures = [(ab, oks) for ab, oks in results if not all(oks.values())]
     return {"status": _status(failures, []), "pairs": len(results), "failures": failures}
+
+
+def _preservation_masks(mc: ModelClass):
+    """held[f], with bit a·n+b set when f ∈ mc.preserving(a, b)."""
+    n, held = mc.S.size, [0] * len(mc.isos)
+    for a, b in itertools.product(mc.S.elements(), repeat=2):
+        for j in mc.preserving(a, b):
+            held[j] |= 1 << (a * n + b)
+    return held
+
+
+def _uncovered_row(g):
+    """Why g's rows do not cover the composable pairs: the first row not as
+    long as its fiber."""
+    want = [len(g.into.get(x, ())) for x in g.d]
+    for h, (row, fiber) in enumerate(zip(g.composites, want)):
+        if len(row) != fiber:
+            side = "short" if len(row) < fiber else "long"
+            return f"composite row {h} is {side}: {len(row)} entries for {fiber} composable pairs"
+    return f"{len(g.composites)} composite rows for {len(want)} arrows"
 
 
 def check_sobriety(mc: ModelClass):

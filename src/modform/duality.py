@@ -919,7 +919,9 @@ def enumerate_stable_arrow_sets(g: TopGroupoid, limit=10_000):
     try:
         return closure_lattice(gens, limit, join)
     except LimitExceeded as e:
-        raise LimitExceeded("more closed arrow sets than --nlimit", e.estimate) from None
+        raise LimitExceeded(
+            "more closed arrow sets than --nlimit", e.estimate, lower_bound=True
+        ) from None
 
 
 def check_sem_conditions(gos: GroupoidOverS, n_limit=10_000):

@@ -21,12 +21,14 @@ class SignatureError(ModformError):
 
 
 class LimitExceeded(ModformError):
-    """An enumeration would exceed the configured size limit."""
+    """An enumeration would exceed the configured size limit: `estimate`
+    is its size or, with `lower_bound`, a size it passes."""
 
-    def __init__(self, message, estimate=None):
+    def __init__(self, message, estimate=None, lower_bound=False):
         self.estimate = estimate
         if estimate is not None:
-            message = f"{message} (estimated size {estimate})"
+            size = "more than" if lower_bound else "estimated size"
+            message = f"{message} ({size} {estimate})"
         super().__init__(message)
 
 

@@ -154,62 +154,34 @@ class TopGroupoid:
           U_g and f2 ∈ U_f with d(g2) = c(f2), d(g2∘f2) = d(f2) ∈ U_{d f} =
           U_{d(g∘f)}, likewise for c, and pairs[g2∘f2] = pairs[g2] ∘
           pairs[f2] ⊇ pairs[g] ∘ pairs[f] = pairs[g∘f], since the
-          composite is monotone: g2∘f2 ∈ U_{g∘f}.  Composites are
-          memoized by (pairs[g], pairs[f]) for this call only.
+          composite is monotone: g2∘f2 ∈ U_{g∘f}.
 
-        These arguments read held[f] only as the generators that hold f,
-        so they hold whatever the generators are.  The identities imply
-        each law; a law whose identity fails, and every law of a groupoid
-        whose arrow space is built otherwise, is decided by
+        The i and m pair identities hold exactly when pair_defects finds no
+        defect.  These arguments read held[f] only as the generators that
+        hold f, so they hold whatever the generators are.  The identities
+        imply each law; a law whose identity fails, and every law of a
+        groupoid whose arrow space is built otherwise, is decided by
         continuity_walk, which is exact.  So the verdicts are the walk's.
         """
-        arrows, objects, d, c, e = self.arrows, self.objects, self.d, self.c, self.e
+        arrows, objects, d, c, e, i = self.arrows, self.objects, self.d, self.c, self.e, self.i
         n = round(len(arrows.generators) ** 0.5)
         ends = [(base, tuple(ends)) for base, ends_list in arrows.maps for _, ends in ends_list]
         if ends != [(objects, d), (objects, c)] or n * n != len(arrows.generators):
             return self.continuity_walk("dceim")
+        i_bad, m_bad = pair_defects(self, arrows.held, n)
         fast = {
             "d": True,
             "c": True,
             "e": all(
                 arrows.in_nbhd(e[y], e[x]) for x in range(objects.size) for y in objects.minimal[x]
             ),
-            "i": self._inverse_preserves_pairs(n),
-            "m": self._composites_compose_pairs(n),
+            "i": not i_bad
+            and len(i) == arrows.size
+            and all(d[j] == c[f] and c[j] == d[f] for f, j in enumerate(i)),
+            "m": not m_bad and self.covers and not self.mistyped,
         }
         walked = self.continuity_walk([law for law, ok in fast.items() if not ok])
         return {law: ok or walked[law] for law, ok in fast.items()}
-
-    def _inverse_preserves_pairs(self, n):
-        """The i identity of check_continuity."""
-        held, d, c, i = self.arrows.held, self.d, self.c, self.i
-        if len(i) != len(held):
-            return False
-        transposes = {}  # pairs[f] -> its transpose, for this call
-        for f, j in enumerate(i):
-            t = transposes.get(held[f])
-            if t is None:
-                t = transposes[held[f]] = pair_transpose(held[f], n)
-            if held[j] != t or d[j] != c[f] or c[j] != d[f]:
-                return False
-        return True
-
-    def _composites_compose_pairs(self, n):
-        """The m identity of check_continuity, walked by codomain fiber."""
-        held, rows, into = self.arrows.held, self.composites, self.into
-        if not self.covers or self.mistyped:
-            return False
-        composites = {}  # pairs[g] -> pairs[f] -> pairs[g] ∘ pairs[f], for this call
-        for x, fs in into.items():
-            fiber = [held[f] for f in fs]
-            for g in self.out_of.get(x, ()):
-                by = composites.setdefault(held[g], {})
-                for pf in fiber:
-                    if pf not in by:
-                        by[pf] = pair_composite(held[g], pf, n)
-                if list(map(held.__getitem__, rows[g])) != list(map(by.__getitem__, fiber)):
-                    return False
-        return True
 
     def continuity_walk(self, laws):
         """The laws among "d", "c", "e", "i", "m" in `laws`, each decided
@@ -274,6 +246,39 @@ def pair_composite(pg, pf, n):
             acc |= pg >> (b * n) & full
         out |= acc << (a * n)
     return out
+
+
+def pair_defects(g: TopGroupoid, held, n):
+    """(i_bad, m_bad), the pairs at which the pair masks `held` (bit a·n+b of
+    held[f] for (a, b)) break the pair identities of i and m: the OR over
+    arrows f of held[i f] ^ held[f]ᵀ, and over composable pairs (h, f) of
+    held[h∘f] ^ held[h] ∘ held[f] (pair_transpose, pair_composite).
+
+    Each codomain fiber's masks are read once, composites are memoized by
+    (held[h], held[f]) for this call only, and a row is XORed entry by entry
+    only when it differs as a whole.  Rows are read as far as they go;
+    callers guard coverage (g.covers)."""
+    transposes = {}  # held[f] -> its transpose
+    i_bad = 0
+    for p, j in zip(held, g.i):
+        t = transposes.get(p)
+        if t is None:
+            t = transposes[p] = pair_transpose(p, n)
+        i_bad |= held[j] ^ t
+    fibers_of = {x: list(map(held.__getitem__, fs)) for x, fs in g.into.items()}
+    composites = {}  # held[h] -> held[f] -> held[h] ∘ held[f]
+    m_bad = 0
+    for h, (x, row) in enumerate(zip(g.d, g.composites)):
+        fiber = fibers_of.get(x, ())
+        by = composites.setdefault(held[h], {})
+        for pf in fiber:
+            if pf not in by:
+                by[pf] = pair_composite(held[h], pf, n)
+        got, want = list(map(held.__getitem__, row)), list(map(by.__getitem__, fiber))
+        if got != want:
+            for p, q in zip(got, want):
+                m_bad |= p ^ q
+    return i_bad, m_bad
 
 
 def fibered(ends):

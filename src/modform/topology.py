@@ -79,7 +79,7 @@ def closure_lattice(gens, limit, join=None):
             nxt = cur | gen if join is None else join(cur, gen)
             if nxt not in seen:
                 if len(seen) >= limit:
-                    raise LimitExceeded("lattice too large", len(seen))
+                    raise LimitExceeded("lattice too large", len(seen), lower_bound=True)
                 seen.add(nxt)
                 frontier.append(nxt)
     return [frozenset(b) for b in sorted(map(bits, seen), key=lambda b: (len(b), b))]

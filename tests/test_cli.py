@@ -118,6 +118,8 @@ def test_closed_arrow_set_limit_names_nlimit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("limit exceeded") and "closed arrow sets" in err
     assert "--nlimit" in err
+    # the enumeration stops at the limit, so the size it names is a lower bound
+    assert err == "limit exceeded: more closed arrow sets than --nlimit (more than 5)\n"
 
 
 def test_invariant_error_is_reported_as_checker_bug(tmp_path, capsys, monkeypatch):

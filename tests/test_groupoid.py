@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from modform import groupoid
+from modform import checks, groupoid
+from modform.checks import check_preimage_identities
 from modform.errors import InvariantError
 from modform.groupoid import (
     GroupoidMorphism,
@@ -30,7 +31,7 @@ from modform.logic import (
     identity_interpretation,
     initial_interpretation,
 )
-from modform.models import IndexSet, IndexedStructure, model_class
+from modform.models import IndexSet, IndexedStructure, build_model_class, model_class
 from modform.parser import parse_theory
 from modform.topology import (
     BasicOpenI,
@@ -322,6 +323,46 @@ def test_preimage_m_expect_matches_all_pairs_scan(text, n):
             r = structure_map_preimages(mc, a, b)["m"]
             assert r["expected"] == reference_m_expect(mc, a, b), (a, b)
             assert r["ok"] and r["expected"], (a, b)
+
+
+def per_pair_preimages(mc):
+    """check_preimage_identities built from structure_map_preimages, one
+    (a, b) at a time."""
+    results = [
+        ((a, b), {law: r["ok"] for law, r in structure_map_preimages(mc, a, b).items()})
+        for a in mc.S.elements()
+        for b in mc.S.elements()
+    ]
+    failures = [(ab, oks) for ab, oks in results if not all(oks.values())]
+    return {"status": "fail" if failures else "pass", "pairs": len(results), "failures": failures}
+
+
+@pytest.mark.parametrize(
+    "text,n",
+    [(t, n) for t in ("", "rel P/1", SYM_E) for n in (1, 2, 3)] + [("", 4)],
+    ids=[f"{t}-{n}" for t in ("T_eq", "P/1", "symE") for n in (1, 2, 3)] + ["T_eq-4"],
+)
+def test_preimage_suite_matches_the_per_pair_reference(text, n):
+    theory = parse_theory(text) if text else EQUALITY_THEORY
+    mc = model_class(theory, IndexSet(n))
+    assert check_preimage_identities(mc) == per_pair_preimages(mc)
+    assert checks._preservation_masks(mc) == build_model_groupoid(mc).arrows.held
+
+
+@pytest.mark.parametrize("side", ["short", "long"])
+def test_preimage_suite_names_a_row_that_does_not_cover_its_fiber(side):
+    mc = build_model_class(EQUALITY_THEORY, IndexSet(2))
+    g = build_model_groupoid(mc)
+    rows = _rows(g)
+    h = next(h for h, row in enumerate(rows) if row)
+    if side == "short":
+        rows[h].pop()
+    else:
+        rows[h].append(rows[h][0])
+    g.composites = [tuple(row) for row in rows]
+    want = f"composite row {h} is {side}: {len(rows[h])} entries for {len(g.into[g.d[h]])} "
+    with pytest.raises(InvariantError, match=want):
+        check_preimage_identities(mc)
 
 
 def test_openness_trivial_cover():
