@@ -30,6 +30,7 @@ from .sheaves import (
 from .topology import (
     BasicOpenI,
     BasicOpenM,
+    arrow_space,
     basic_open_points,
     closure_lattice,
     mask,
@@ -67,7 +68,8 @@ def check_groupoid_axioms(mc: ModelClass):
 def check_preimage_identities(mc: ModelClass):
     """i⁻¹<a->b> = <b->a>, e⁻¹<a->b> = <[x,y|x=y], (a, b)> and m⁻¹<a->b> =
     ∪_c <c->b> x <a->c> on the composable pairs, for all a, b in S at once,
-    from the masks held[f] with bit a·n+b set when f ∈ mc.preserving(a, b).
+    from the masks held[f] with bit a·n+b set when f ∈ mc.preserving(a, b),
+    as a fresh arrow_space(mc) reads them.
 
     A composable pair (h, f) is on the left of the m identity when held[h∘f]
     has bit (a, b), and on the right when h ∈ <c->b> and f ∈ <a->c> for some
@@ -80,7 +82,7 @@ def check_preimage_identities(mc: ModelClass):
     g = build_model_groupoid(mc)
     if not g.covers:
         raise InvariantError(_uncovered_row(g))
-    n, held = mc.S.size, _preservation_masks(mc)
+    n, held = mc.S.size, arrow_space(mc).held
     i_bad, m_bad = pair_defects(g, held, n)
     diagonal = fic(["x", "y"], Eq(Var("x"), Var("y")))
     results = []
@@ -91,15 +93,6 @@ def check_preimage_identities(mc: ModelClass):
         results.append(((a, b), {"i": not i_bad >> k & 1, "e": e_ok, "m": not m_bad >> k & 1}))
     failures = [(ab, oks) for ab, oks in results if not all(oks.values())]
     return {"status": _status(failures, []), "pairs": len(results), "failures": failures}
-
-
-def _preservation_masks(mc: ModelClass):
-    """held[f], with bit a·n+b set when f ∈ mc.preserving(a, b)."""
-    n, held = mc.S.size, [0] * len(mc.isos)
-    for a, b in itertools.product(mc.S.elements(), repeat=2):
-        for j in mc.preserving(a, b):
-            held[j] |= 1 << (a * n + b)
-    return held
 
 
 def _uncovered_row(g):

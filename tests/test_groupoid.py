@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from modform import checks, groupoid
+from modform import groupoid
 from modform.checks import check_preimage_identities
 from modform.errors import InvariantError
 from modform.groupoid import (
@@ -36,6 +36,7 @@ from modform.parser import parse_theory
 from modform.topology import (
     BasicOpenI,
     BasicOpenM,
+    arrow_space,
     basic_open_arrows,
     basic_open_points,
     trivial_open_m,
@@ -346,7 +347,13 @@ def test_preimage_suite_matches_the_per_pair_reference(text, n):
     theory = parse_theory(text) if text else EQUALITY_THEORY
     mc = model_class(theory, IndexSet(n))
     assert check_preimage_identities(mc) == per_pair_preimages(mc)
-    assert checks._preservation_masks(mc) == build_model_groupoid(mc).arrows.held
+    # the suite's masks: bit a·n+b of held[f] when f ∈ <a->b>
+    S = mc.S.elements()
+    held = [
+        sum(1 << (a * n + b) for a in S for b in S if f in mc.preserving(a, b))
+        for f in range(len(mc.isos))
+    ]
+    assert arrow_space(mc).held == held == build_model_groupoid(mc).arrows.held
 
 
 @pytest.mark.parametrize("side", ["short", "long"])
